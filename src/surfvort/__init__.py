@@ -21,7 +21,6 @@ from .dynamics import (
     PLANE,
     SPHERE,
     EnergyDiagnostics,
-    PointVortex,
     VortexSystem,
     balance_vorticity,
     energy_diagnostics,
@@ -68,8 +67,6 @@ from .kernels import (
 from .mesh import (
     TopologyReport,
     TriangleMesh,
-    face_area,
-    face_normal,
     load_obj,
     save_obj,
     total_area,
@@ -77,11 +74,7 @@ from .mesh import (
 )
 from .transport import (
     SphereLocator,
-    SurfaceLocation,
-    interpolate_scalar,
-    map_location,
     position_of,
-    relocate_on_sphere_mesh,
     sample_points,
 )
 

@@ -109,17 +109,14 @@ def _write_grad_h(path: str, atlas) -> None:
             fh.write(f"{i},{_fmt(g[0])},{_fmt(g[1])},{_fmt(g[2])}\n")
 
 
-def _write_samples(path: str, locations, atlas) -> None:
+def _write_samples(path: str, tri, st, atlas) -> None:
+    sphere = position_of(atlas.sphere_mesh, tri, st)
+    source = position_of(atlas.source_mesh, tri, st)
     with _open_out(path) as fh:
         fh.write("triangle,s,t,sx,sy,sz,mx,my,mz\n")
-        for loc in locations:
-            sp = position_of(atlas.sphere_mesh, loc)
-            mp = position_of(atlas.source_mesh, loc)
-            fh.write(
-                f"{loc.triangle},{_fmt(loc.s)},{_fmt(loc.t)},"
-                + ",".join(_fmt(v) for v in sp) + ","
-                + ",".join(_fmt(v) for v in mp) + "\n"
-            )
+        for i in range(tri.shape[0]):
+            values = [*st[i], *sphere[i], *source[i]]
+            fh.write(f"{tri[i]}," + ",".join(_fmt(v) for v in values) + "\n")
 
 
 def _grid_points(grid: dict, prepared) -> np.ndarray:
@@ -143,15 +140,13 @@ def _grid_points(grid: dict, prepared) -> np.ndarray:
             [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
         ).reshape(-1, 3)
     if kind == "surface_samples":
-        locs = sample_points(
+        tri, st = sample_points(
             prepared.atlas.sphere_mesh,
             face_areas(prepared.mesh),
             int(grid["count"]),
             int(grid.get("seed", 0)),
         )
-        return normalize_rows(
-            np.stack([position_of(prepared.atlas.sphere_mesh, loc) for loc in locs])
-        )
+        return normalize_rows(position_of(prepared.atlas.sphere_mesh, tri, st))
     raise ScenarioError(f"unknown field grid kind {grid.get('kind')!r}")
 
 
@@ -361,11 +356,11 @@ def _cmd_sample(args) -> int:
     if not atlas.converged:
         print("error: conformal map did not converge", file=sys.stderr)
         return EXIT_NONCONVERGED
-    locations = sample_points(atlas.sphere_mesh, face_areas(mesh), args.count, args.seed)
+    tri, st = sample_points(atlas.sphere_mesh, face_areas(mesh), args.count, args.seed)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "sample.csv")
-    _write_samples(path, locations, atlas)
+    _write_samples(path, tri, st, atlas)
     print(f"{args.count} samples written to {path}")
     return EXIT_OK
 

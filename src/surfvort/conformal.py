@@ -20,8 +20,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import ConformalMapError, DegenerateTriangleError, TopologyError
 from .mesh import TriangleMesh, face_areas, face_normals, validate_closed_genus0
-from .numerics import neumaier_sum, readonly
-from .transport import SphereLocator, SurfaceLocation, interpolate_scalar
+from .numerics import readonly
+from .transport import SphereLocator
 
 FloatArray = NDArray[np.float64]
 
@@ -272,13 +272,15 @@ class ConformalAtlas:
             self._locator = SphereLocator(self.sphere_mesh)
         return self._locator
 
-    def factor_at(self, loc: SurfaceLocation) -> float:
-        """Conformal factor h linearly interpolated at a sphere-mesh location."""
-        return interpolate_scalar(self.sphere_mesh, self.factors, loc)
+    def factor_at(self, tri, st) -> FloatArray:
+        """Conformal factor h linearly interpolated at sphere-mesh locations, (n,)."""
+        h = self.factors[self.sphere_mesh.triangles[tri]]
+        s, t = st[:, 0], st[:, 1]
+        return (1.0 - s - t) * h[:, 0] + s * h[:, 1] + t * h[:, 2]
 
-    def grad_factor_at(self, loc: SurfaceLocation) -> FloatArray:
-        """Constant per-triangle gradient of h on the sphere mesh."""
-        return self.triangle_grad_h[loc.triangle]
+    def grad_factor_at(self, tri) -> FloatArray:
+        """Constant per-triangle gradients of h on the sphere mesh, (n, 3)."""
+        return self.triangle_grad_h[tri]
 
     @classmethod
     def identity(cls, sphere_mesh: TriangleMesh) -> "ConformalAtlas":
@@ -360,11 +362,3 @@ def angle_distortions(atlas: ConformalAtlas) -> FloatArray:
     img = _corner_angles(atlas.sphere_positions, atlas.source_mesh.triangles)
     return np.abs(src - img).max(axis=1)
 
-
-def check_mass_consistency(op: SparseOperator) -> float:
-    """Max |row sum| of the stiffness part (should vanish)."""
-    return float(np.abs(np.asarray(op.stiffness.sum(axis=1))).max())
-
-
-def total_mass(op: SparseOperator) -> float:
-    return float(neumaier_sum(op.mass, axis=0))

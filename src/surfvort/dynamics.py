@@ -18,8 +18,8 @@ from numpy.typing import NDArray
 from .conformal import ConformalAtlas
 from .errors import SingularityError, VorticityBalanceError
 from .kernels import EPS_SEPARATION, green_plane, green_sphere
-from .numerics import neumaier_sum, readonly
-from .transport import SurfaceLocation
+from .numerics import readonly
+from .transport import position_of
 
 FloatArray = NDArray[np.float64]
 
@@ -34,14 +34,6 @@ BALANCE_RTOL = 1e-12
 # Self-term sign adopted from the conserved-Hamiltonian experiment
 # (tests/test_acceptance.py re-runs it; both signs stay selectable).
 DEFAULT_SELF_TERM_SIGN = +1
-
-
-@dataclass(frozen=True)
-class PointVortex:
-    """A surface location plus a signed circulation strength."""
-
-    position: FloatArray
-    strength: float
 
 
 class VortexSystem:
@@ -90,16 +82,9 @@ class VortexSystem:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
-    def __iter__(self):
-        for p, w in zip(self.positions, self.strengths):
-            yield PointVortex(position=p, strength=float(w))
-
     @property
     def total_strength(self) -> float:
         return math.fsum(self.strengths)
-
-    def with_positions(self, positions) -> "VortexSystem":
-        return VortexSystem(self.geometry, positions, self.strengths)
 
     def __repr__(self) -> str:
         return f"VortexSystem({self.geometry}, n={len(self)})"
@@ -136,20 +121,21 @@ def _plane_pair_sum(targets: FloatArray, sources: FloatArray, strengths: FloatAr
                     exclude_diagonal: bool) -> FloatArray:
     """sum_i w_i * (n x (x - p_i)) / |x - p_i|^2 over sources, for each target.
 
-    Terms are laid out (component, target, source) so that each component is
-    one plain sum along the contiguous source axis.
+    Each component's terms are laid out (target, source) so that it is one
+    plain sum along the contiguous source axis.
     """
-    d = targets.T[:, :, None] - sources.T[:, None, :]      # (3, m, n)
-    r2 = (d * d).sum(axis=0)                               # (m, n)
+    dx = targets[:, 0, None] - sources[None, :, 0]         # (m, n)
+    dy = targets[:, 1, None] - sources[None, :, 1]
+    r2 = dx * dx + dy * dy
     if exclude_diagonal:
         np.fill_diagonal(r2, np.inf)
     if np.sqrt(r2.min()) < EPS_SEPARATION:
         raise SingularityError("evaluation point closer than the singularity guard to a vortex")
     # w / r^2 * (-dy, dx, 0)
-    sums = (d[1::-1] * (strengths / r2)).sum(axis=2)       # (2, m): sum dy, sum dx
+    c = strengths / r2
     out = np.zeros((targets.shape[0], 3))
-    out[:, 0] = -sums[0]
-    out[:, 1] = sums[1]
+    out[:, 0] = -(dy * c).sum(axis=1)
+    out[:, 1] = (dx * c).sum(axis=1)
     return out
 
 
@@ -230,20 +216,11 @@ def sphere_field_velocity(x, system: VortexSystem) -> FloatArray:
 # Closed-surface dynamics (on the conformal sphere image)
 # ---------------------------------------------------------------------------
 
-def _locations_for(system: VortexSystem, atlas: ConformalAtlas,
-                   locations: list[SurfaceLocation] | None) -> list[SurfaceLocation]:
-    if locations is None:
-        return atlas.locator.locate_many(system.positions)
-    if len(locations) != len(system):
-        raise ValueError("need one sphere-mesh location per vortex")
-    return locations
-
-
 def surface_vortex_velocities(
     system: VortexSystem,
     atlas: ConformalAtlas,
     self_term_sign: int = DEFAULT_SELF_TERM_SIGN,
-    locations: list[SurfaceLocation] | None = None,
+    locations: tuple[NDArray[np.int64], FloatArray] | None = None,
 ) -> FloatArray:
     """Vortex velocities on the sphere image of a closed surface.
 
@@ -251,19 +228,21 @@ def surface_vortex_velocities(
                + sign * (w_j / h_j) p_j x grad_h(p_j) ] / (4 pi h_j^2)
 
     with h and grad h interpolated from the atlas at each vortex's sphere-mesh
-    location. `locations` may pass precomputed locations to skip the point
-    location walk; `self_term_sign` selects the self-term orientation (the
-    default is fixed by the conserved-Hamiltonian experiment).
+    location. `locations` may pass precomputed ``(tri, st)`` arrays to skip
+    the point location walk; `self_term_sign` selects the self-term
+    orientation (the default is fixed by the conserved-Hamiltonian experiment).
     """
     _require_geometry(system, CLOSED_SURFACE)
     if self_term_sign not in (-1, 1):
         raise ValueError("self_term_sign must be +1 or -1")
     _require_balanced(system.strengths)
-    locs = _locations_for(system, atlas, locations)
     p = system.positions
+    tri, st = atlas.locator.locate(p) if locations is None else locations
+    if tri.shape != (len(system),):
+        raise ValueError("need one sphere-mesh location per vortex")
     pair = _sphere_pair_sum(p, p, system.strengths, exclude_diagonal=True)
-    h = np.array([atlas.factor_at(loc) for loc in locs])
-    grads = np.stack([atlas.grad_factor_at(loc) for loc in locs])
+    h = atlas.factor_at(tri, st)
+    grads = atlas.grad_factor_at(tri)
     self_term = (system.strengths / h)[:, None] * np.cross(p, grads)
     return (pair + self_term_sign * self_term) / (4.0 * np.pi * (h * h)[:, None])
 
@@ -276,7 +255,7 @@ def surface_field_velocity(x, system: VortexSystem, atlas: ConformalAtlas) -> Fl
     single = x.ndim == 1
     pts = np.atleast_2d(x)
     pair = _sphere_pair_sum(pts, system.positions, system.strengths, exclude_diagonal=False)
-    h = np.array([atlas.factor_at(loc) for loc in atlas.locator.locate_many(pts)])
+    h = atlas.factor_at(*atlas.locator.locate(pts))
     u = pair / (4.0 * np.pi * (h * h)[:, None])
     return u[0] if single else u
 
@@ -298,7 +277,7 @@ def stream_function(x, system: VortexSystem) -> float | FloatArray:
     single = x.ndim == 1
     pts = np.atleast_2d(x)
     terms = system.strengths[None, :] * green(pts[:, None, :], system.positions[None, :, :])
-    psi = neumaier_sum(terms, axis=1)
+    psi = terms.sum(axis=1)
     return float(psi[0]) if single else psi
 
 
@@ -317,11 +296,7 @@ def kinetic_energy(system: VortexSystem) -> float:
     return -math.fsum(system.strengths[iu] * system.strengths[ju] * g)
 
 
-def metric_hamiltonian(
-    system: VortexSystem,
-    atlas: ConformalAtlas,
-    locations: list[SurfaceLocation] | None = None,
-) -> float:
+def metric_hamiltonian(system: VortexSystem, atlas: ConformalAtlas) -> float:
     """Conserved Hamiltonian of the closed-surface dynamics.
 
     The sphere-kernel energy of the vortex images minus
@@ -330,9 +305,8 @@ def metric_hamiltonian(
     """
     _require_geometry(system, CLOSED_SURFACE)
     _require_balanced(system.strengths)
-    locs = _locations_for(system, atlas, locations)
-    log_h = [math.log(atlas.factor_at(loc)) for loc in locs]
-    correction = math.fsum(w * w * lh for w, lh in zip(system.strengths, log_h))
+    log_h = np.log(atlas.factor_at(*atlas.locator.locate(system.positions)))
+    correction = math.fsum(system.strengths * system.strengths * log_h)
     return kinetic_energy(system) - correction / (4.0 * np.pi)
 
 
@@ -404,12 +378,13 @@ class SurfaceVelocityEvaluator:
         self.atlas = atlas
         self.strengths = np.asarray(strengths, dtype=np.float64)
         self.self_term_sign = self_term_sign
-        self._hints: list[int | None] = [None] * self.strengths.shape[0]
+        self._hints = np.zeros(self.strengths.shape[0], dtype=np.int64)
 
-    def locate(self, positions: FloatArray) -> list[SurfaceLocation]:
-        locs = self.atlas.locator.locate_many(positions, hints=self._hints)
-        self._hints = [loc.triangle for loc in locs]
-        return locs
+    def locate(self, positions: FloatArray):
+        """Sphere-mesh ``(tri, st)`` of the positions; their triangles become the hints."""
+        tri, st = self.atlas.locator.locate(positions, hints=self._hints)
+        self._hints = tri
+        return tri, st
 
     def __call__(self, positions: FloatArray) -> FloatArray:
         system = VortexSystem(CLOSED_SURFACE, positions, self.strengths, check=False)
@@ -420,10 +395,7 @@ class SurfaceVelocityEvaluator:
 
     def to_source(self, positions: FloatArray) -> FloatArray:
         """Map sphere points back to the source mesh through the atlas."""
-        from .transport import SPHERE_TO_M, mapped_position
-
-        locs = self.atlas.locator.locate_many(positions, hints=self._hints)
-        return np.stack([mapped_position(self.atlas, loc, SPHERE_TO_M) for loc in locs])
+        return position_of(self.atlas.source_mesh, *self.locate(positions))
 
 
 def make_rhs(system: VortexSystem, atlas: ConformalAtlas | None = None,

@@ -16,37 +16,24 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import CLOSED_SURFACE, PLANE, EnergyDiagnostics, VortexSystem
+from .dynamics import PLANE, EnergyDiagnostics, VortexSystem
 from .errors import SingularityError
 
 FloatArray = NDArray[np.float64]
 
-PLANAR = "planar"
-ROTATIONAL = "rotational"
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step RK4 configuration; `advection` must match the geometry."""
+    """Fixed-step RK4 configuration; the advection follows the system's geometry."""
 
     dt: float
     steps: int
-    scheme: str = "rk4"
-    advection: str = PLANAR
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be positive and finite")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-        if self.scheme != "rk4":
-            raise ValueError(f"unsupported scheme {self.scheme!r} (only rk4)")
-        if self.advection not in (PLANAR, ROTATIONAL):
-            raise ValueError(f"unknown advection mode {self.advection!r}")
-
-
-def advection_for(geometry: str) -> str:
-    return PLANAR if geometry == PLANE else ROTATIONAL
 
 
 def advect_sphere(p: FloatArray, u: FloatArray, dt: float) -> FloatArray:
@@ -72,14 +59,14 @@ def _advect_sphere_rows(p: FloatArray, u: FloatArray, dt: float) -> FloatArray:
     return out / np.sqrt((out * out).sum(axis=1, keepdims=True))
 
 
-def _advance(positions: FloatArray, k: FloatArray, dt: float, advection: str) -> FloatArray:
-    if advection == PLANAR:
+def _advance(positions: FloatArray, k: FloatArray, dt: float, planar: bool) -> FloatArray:
+    if planar:
         return positions + dt * k
     return _advect_sphere_rows(positions, k, dt)
 
 
 def rk4_step(system: VortexSystem, rhs, config: IntegratorConfig) -> VortexSystem:
-    """One RK4 step; stage points are generated by the configured advection.
+    """One RK4 step; stage points move straight on the plane, by rotation otherwise.
 
     The returned system skips the constructor's pairwise re-validation:
     rotational advection renormalizes onto the sphere and planar velocities
@@ -88,13 +75,13 @@ def rk4_step(system: VortexSystem, rhs, config: IntegratorConfig) -> VortexSyste
     """
     p = system.positions
     dt = config.dt
-    adv = config.advection
+    planar = system.geometry == PLANE
     k1 = rhs(p)
-    k2 = rhs(_advance(p, k1, 0.5 * dt, adv))
-    k3 = rhs(_advance(p, k2, 0.5 * dt, adv))
-    k4 = rhs(_advance(p, k3, dt, adv))
+    k2 = rhs(_advance(p, k1, 0.5 * dt, planar))
+    k3 = rhs(_advance(p, k2, 0.5 * dt, planar))
+    k4 = rhs(_advance(p, k3, dt, planar))
     k = (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    new_p = _advance(p, k, dt, adv)
+    new_p = _advance(p, k, dt, planar)
     return VortexSystem(system.geometry, new_p, system.strengths, check=False)
 
 
@@ -148,10 +135,6 @@ def run(
     A singularity raised by `rhs` aborts the run; the partial trajectory is
     returned with the collision step flagged rather than raised.
     """
-    if config.advection != advection_for(system.geometry):
-        raise ValueError(
-            f"{system.geometry} systems need {advection_for(system.geometry)!r} advection"
-        )
     if diagnostics_every < 1:
         raise ValueError("diagnostics_every must be >= 1")
 

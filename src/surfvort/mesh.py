@@ -147,30 +147,6 @@ def face_areas(mesh: TriangleMesh) -> FloatArray:
     return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
 
 
-def face_area(mesh: TriangleMesh, t: int) -> float:
-    """Area of triangle `t` (half the edge cross-product norm)."""
-    i, j, k = mesh.triangles[t]
-    v = mesh.vertices
-    return 0.5 * float(np.linalg.norm(np.cross(v[j] - v[i], v[k] - v[i])))
-
-
-def face_normal(mesh: TriangleMesh, t: int) -> FloatArray:
-    """Unit normal of triangle `t`, outward for a CCW closed mesh.
-
-    Raises
-    ------
-    DegenerateTriangleError
-        If the triangle area is below the degeneracy threshold.
-    """
-    i, j, k = mesh.triangles[t]
-    v = mesh.vertices
-    n = np.cross(v[j] - v[i], v[k] - v[i])
-    norm = float(np.linalg.norm(n))
-    if 0.5 * norm <= mesh.degenerate_area_threshold():
-        raise DegenerateTriangleError(f"triangle {t} is degenerate (area {0.5 * norm:g})")
-    return n / norm
-
-
 def face_normals(mesh: TriangleMesh) -> FloatArray:
     """Unit normals of all triangles, shape (F, 3); degenerate faces raise."""
     a, b, c = mesh.corners()

@@ -1,4 +1,4 @@
-"""Small numeric helpers: compensated summation and row normalization."""
+"""Small numeric helpers: row normalization and read-only arrays."""
 
 from __future__ import annotations
 
@@ -6,23 +6,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 FloatArray = NDArray[np.float64]
-
-
-def neumaier_sum(terms: FloatArray, axis: int = -1) -> FloatArray:
-    """Sum `terms` along `axis` with Neumaier-compensated accumulation.
-
-    Keeps a running error term so that long pairwise-interaction sums do not
-    lose low-order bits; vectorized over all remaining axes.
-    """
-    t = np.moveaxis(np.asarray(terms, dtype=np.float64), axis, 0)
-    total = np.zeros(t.shape[1:], dtype=np.float64)
-    comp = np.zeros_like(total)
-    for term in t:
-        s = total + term
-        swap = np.abs(total) >= np.abs(term)
-        comp += np.where(swap, (total - s) + term, (term - s) + total)
-        total = s
-    return total + comp
 
 
 def normalize_rows(v: FloatArray) -> FloatArray:

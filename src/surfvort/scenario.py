@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +27,10 @@ from .dynamics import (
     make_rhs,
 )
 from .errors import ScenarioError, SurfVortError
-from .integrator import IntegratorConfig, advection_for
+from .integrator import IntegratorConfig
 from .mesh import TriangleMesh, face_areas, load_obj
 from .numerics import normalize_rows
-from .transport import M_TO_SPHERE, SurfaceLocation, mapped_position, position_of, sample_points
+from .transport import clamp_bary, position_of, sample_points
 
 GEOMETRY_NAMES = {"plane": PLANE, "sphere": SPHERE, "mesh": CLOSED_SURFACE}
 
@@ -132,12 +132,12 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
     integ = obj.get("integrator")
     _require(isinstance(integ, dict) and "dt" in integ and "steps" in integ,
              "integrator needs dt and steps")
+    scheme = integ.get("scheme", "rk4")
+    _require(scheme == "rk4", f"unsupported scheme {scheme!r} (only rk4)")
     try:
         integrator = IntegratorConfig(
             dt=float(integ["dt"]),
             steps=int(integ["steps"]),
-            scheme=integ.get("scheme", "rk4"),
-            advection=advection_for(geometry),
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
@@ -201,7 +201,6 @@ class PreparedRun:
     system: VortexSystem
     atlas: ConformalAtlas | None = None
     mesh: TriangleMesh | None = None
-    initial_locations: list[SurfaceLocation] = field(default_factory=list)
 
     def rhs(self):
         return make_rhs(self.system, atlas=self.atlas,
@@ -260,19 +259,35 @@ def _sample_sphere(spec: SamplerSpec, rng: np.random.Generator) -> np.ndarray:
     raise ScenarioError("sphere sampler region must be null or define 'cap'")
 
 
-def _mesh_location(spec: dict, mesh: TriangleMesh) -> SurfaceLocation:
-    """Resolve an explicit mesh vortex location spec."""
+def _mesh_location(spec: dict, mesh: TriangleMesh) -> tuple[int, tuple[float, float]]:
+    """Resolve an explicit mesh vortex location spec to (triangle, (s, t))."""
     if "triangle" in spec and "bary" in spec:
         s, t = (float(v) for v in spec["bary"])
-        return SurfaceLocation(int(spec["triangle"]), s, t)
+        return int(spec["triangle"]), (s, t)
     if "nearest" in spec:
         anchor = np.asarray(spec["nearest"], dtype=np.float64)
         vid = int(np.argmin(np.linalg.norm(mesh.vertices - anchor, axis=1)))
         tri = int(np.nonzero((mesh.triangles == vid).any(axis=1))[0][0])
         corner = int(np.nonzero(mesh.triangles[tri] == vid)[0][0])
-        s, t = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.0, 1.0)}[corner]
-        return SurfaceLocation(tri, s, t)
+        return tri, {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.0, 1.0)}[corner]
     raise ScenarioError("mesh vortex needs 'triangle'+'bary' or 'nearest'")
+
+
+def _mesh_positions(specs: list[dict], atlas: ConformalAtlas) -> np.ndarray:
+    """Sphere-image positions (n, 3) of explicit mesh vortex location specs."""
+    located = [_mesh_location(spec, atlas.source_mesh) for spec in specs]
+    tri = np.array([t for t, _ in located], dtype=np.int64)
+    st = clamp_bary([st for _, st in located])
+    return normalize_rows(position_of(atlas.sphere_mesh, tri, st))
+
+
+def _flat_position(position, geometry: str) -> np.ndarray:
+    pos = np.asarray(position, dtype=np.float64)
+    if geometry == PLANE:
+        _require(pos.shape in ((2,), (3,)), "plane vortex position must be [x, y]")
+        return np.array([pos[0], pos[1], 0.0])
+    _require(pos.shape == (3,), "sphere vortex position must be [x, y, z]")
+    return normalize_rows(pos)
 
 
 def build_run(scenario: Scenario) -> PreparedRun:
@@ -290,26 +305,12 @@ def build_run(scenario: Scenario) -> PreparedRun:
             max_iters=scenario.conformal.max_iters,
         )
 
-    positions: list[np.ndarray] = []
-    strengths: list[float] = []
-    locations: list[SurfaceLocation] = []
-
-    for v in scenario.vortices:
-        w = float(v["strength"])
-        if scenario.geometry == CLOSED_SURFACE:
-            loc = _mesh_location(v, mesh)
-            locations.append(loc)
-            positions.append(normalize_rows(mapped_position(atlas, loc, M_TO_SPHERE)))
-        else:
-            pos = np.asarray(v.get("position"), dtype=np.float64)
-            if scenario.geometry == PLANE:
-                _require(pos.shape in ((2,), (3,)), "plane vortex position must be [x, y]")
-                pos = np.array([pos[0], pos[1], 0.0])
-            else:
-                _require(pos.shape == (3,), "sphere vortex position must be [x, y, z]")
-                pos = normalize_rows(pos)
-            positions.append(pos)
-        strengths.append(w)
+    if scenario.geometry == CLOSED_SURFACE:
+        blocks = [_mesh_positions(scenario.vortices, atlas)]
+    else:
+        explicit = [_flat_position(v.get("position"), scenario.geometry) for v in scenario.vortices]
+        blocks = [np.array(explicit).reshape(-1, 3)]
+    strengths = [float(v["strength"]) for v in scenario.vortices]
 
     for spec in scenario.samplers:
         rng = np.random.default_rng(spec.seed)
@@ -318,16 +319,13 @@ def build_run(scenario: Scenario) -> PreparedRun:
         elif scenario.geometry == SPHERE:
             pts = _sample_sphere(spec, rng)
         else:
-            locs = sample_points(atlas.sphere_mesh, face_areas(mesh), spec.count, spec.seed)
-            locations.extend(locs)
-            pts = normalize_rows(
-                np.stack([position_of(atlas.sphere_mesh, loc) for loc in locs])
-            ) if locs else np.zeros((0, 3))
+            tri, st = sample_points(atlas.sphere_mesh, face_areas(mesh), spec.count, spec.seed)
+            pts = normalize_rows(position_of(atlas.sphere_mesh, tri, st))
         w = _strength_values(spec.strength, spec.count, rng)
-        positions.extend(pts)
+        blocks.append(pts)
         strengths.extend(w.tolist())
 
-    pos = np.array(positions)
+    pos = np.concatenate(blocks)
     w = np.array(strengths, dtype=np.float64)
     total = math.fsum(w)
     unbalanced = abs(total) > 1e-12 * max(math.fsum(np.abs(w)), 1.0)
@@ -337,17 +335,12 @@ def build_run(scenario: Scenario) -> PreparedRun:
         spec = scenario.counter_position
         if scenario.geometry == CLOSED_SURFACE:
             if isinstance(spec, dict):
-                loc = _mesh_location(spec, mesh)
+                counter = _mesh_positions([spec], atlas)[0]
             else:
-                loc = atlas.locator.locate(normalize_rows(np.asarray(spec, dtype=np.float64)))
-            locations.append(loc)
-            counter = normalize_rows(mapped_position(atlas, loc, M_TO_SPHERE))
+                tri, st = atlas.locator.locate(normalize_rows(np.asarray(spec, dtype=np.float64)))
+                counter = normalize_rows(position_of(atlas.sphere_mesh, tri, st))[0]
         else:
-            counter = np.asarray(spec, dtype=np.float64)
-            if scenario.geometry == SPHERE:
-                counter = normalize_rows(counter)
-            elif counter.shape == (2,):
-                counter = np.array([counter[0], counter[1], 0.0])
+            counter = _flat_position(spec, scenario.geometry)
         pos = np.concatenate([pos, counter[None, :]])
         w = np.concatenate([w, [-total]])
 
@@ -361,7 +354,6 @@ def build_run(scenario: Scenario) -> PreparedRun:
         system=system,
         atlas=atlas,
         mesh=mesh,
-        initial_locations=locations,
     )
 
 

@@ -1,21 +1,20 @@
 """Barycentric transport between a mesh and its sphere image, plus sampling.
 
-A :class:`SurfaceLocation` (triangle index + barycentric coordinates) is the
-coordinate-free "point on a mesh". Because the conformal map keeps triangle
-indices, mapping a location between the source mesh and its sphere image is
-the identity on (triangle, bary); only the mesh against which the location
-is evaluated changes, which makes the map bijective by construction.
+A point on a mesh is a triangle index plus barycentric coordinates (s, t),
+with corner weights (1 - s - t, s, t). Locations are held as a pair of
+arrays, ``tri`` (int64, shape (n,)) and ``st`` (float64, shape (n, 2)).
+Because the conformal map keeps triangle indices, the same pair locates a
+point on the source mesh and on its sphere image; only the mesh it is
+evaluated against changes, which makes the map bijective by construction.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import LocationError
-from .mesh import TriangleMesh
+from .mesh import IntArray, TriangleMesh
 
 FloatArray = NDArray[np.float64]
 
@@ -25,81 +24,33 @@ BARY_SLACK = 1e-10
 # Containment slack for the gnomonic point-in-triangle test.
 GNOMONIC_EPS = 1e-12
 
-M_TO_SPHERE = "m_to_sphere"
-SPHERE_TO_M = "sphere_to_m"
 
+def clamp_bary(st) -> FloatArray:
+    """Clamp barycentric (s, t) rows onto the simplex within a 1e-10 slack.
 
-@dataclass(frozen=True)
-class SurfaceLocation:
-    """Point on a mesh: triangle index plus barycentric (s, t).
-
-    The corner weights are (1 - s - t, s, t); s, t >= 0 and s + t <= 1,
-    clamped on construction within a 1e-10 slack.
+    Coordinates further outside raise :class:`LocationError`. An excess of
+    s + t over 1 is shaved off the larger coordinate (s on ties).
     """
-
-    triangle: int
-    s: float
-    t: float
-
-    def __post_init__(self) -> None:
-        s, t = float(self.s), float(self.t)
-        if s < -BARY_SLACK or t < -BARY_SLACK or s + t > 1.0 + BARY_SLACK:
-            raise LocationError(f"barycentric coordinates outside simplex: s={s!r}, t={t!r}")
-        s = min(max(s, 0.0), 1.0)
-        t = min(max(t, 0.0), 1.0)
-        if s + t > 1.0:
-            # shave the excess off the larger coordinate
-            excess = s + t - 1.0
-            if s >= t:
-                s -= excess
-            else:
-                t -= excess
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
-
-    @property
-    def weights(self) -> FloatArray:
-        return np.array([1.0 - self.s - self.t, self.s, self.t])
+    st = np.array(st, dtype=np.float64).reshape(-1, 2)
+    s, t = st[:, 0], st[:, 1]
+    bad = (s < -BARY_SLACK) | (t < -BARY_SLACK) | (s + t > 1.0 + BARY_SLACK)
+    if bad.any():
+        raise LocationError(f"barycentric coordinates outside simplex: {st[bad][0].tolist()}")
+    st = st.clip(0.0, 1.0)
+    excess = np.maximum(st.sum(axis=1) - 1.0, 0.0)
+    st[np.arange(st.shape[0]), (st[:, 1] > st[:, 0]).astype(np.intp)] -= excess
+    return st
 
 
-def position_of(mesh: TriangleMesh, loc: SurfaceLocation) -> FloatArray:
-    """Embedded position p1 + s (p2 - p1) + t (p3 - p1) of a location."""
-    if not 0 <= loc.triangle < mesh.face_count:
-        raise LocationError(f"triangle index {loc.triangle} out of range")
-    i, j, k = mesh.triangles[loc.triangle]
+def position_of(mesh: TriangleMesh, tri, st) -> FloatArray:
+    """Embedded positions p1 + s (p2 - p1) + t (p3 - p1) of locations, (n, 3)."""
+    tri = np.asarray(tri, dtype=np.int64)
+    st = np.asarray(st, dtype=np.float64)
+    if np.any((tri < 0) | (tri >= mesh.face_count)):
+        raise LocationError(f"triangle index out of range 0..{mesh.face_count - 1}")
     v = mesh.vertices
-    return v[i] + loc.s * (v[j] - v[i]) + loc.t * (v[k] - v[i])
-
-
-def map_location(atlas, loc: SurfaceLocation, direction: str) -> SurfaceLocation:
-    """Map a location between the source mesh and its sphere image.
-
-    Triangle correspondence is by identical index, so the mapped location is
-    the same (triangle, bary) pair; the direction only selects which mesh to
-    evaluate it against. Applying the opposite direction is the exact inverse.
-    """
-    if direction not in (M_TO_SPHERE, SPHERE_TO_M):
-        raise ValueError(f"unknown direction {direction!r}")
-    if not 0 <= loc.triangle < atlas.source_mesh.face_count:
-        raise LocationError(f"triangle index {loc.triangle} not in atlas correspondence")
-    return loc
-
-
-def mapped_position(atlas, loc: SurfaceLocation, direction: str) -> FloatArray:
-    """Embedded position of `map_location(atlas, loc, direction)` on the target mesh."""
-    loc = map_location(atlas, loc, direction)
-    target = atlas.sphere_mesh if direction == M_TO_SPHERE else atlas.source_mesh
-    return position_of(target, loc)
-
-
-def interpolate_scalar(mesh: TriangleMesh, values, loc: SurfaceLocation) -> float:
-    """Barycentric interpolation of per-vertex values at a location."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (mesh.vertex_count,):
-        raise ValueError("need exactly one value per vertex")
-    i, j, k = mesh.triangles[loc.triangle]
-    w = loc.weights
-    return float(w[0] * values[i] + w[1] * values[j] + w[2] * values[k])
+    i, j, k = mesh.triangles[tri].T
+    return v[i] + st[:, :1] * (v[j] - v[i]) + st[:, 1:] * (v[k] - v[i])
 
 
 class SphereLocator:
@@ -107,8 +58,8 @@ class SphereLocator:
 
     For a unit vector p, the containing triangle is the one whose radial
     (central) projection covers p: solve p = a*v1 + b*v2 + c*v3 and test
-    a, b, c >= -eps. Queries walk across edges from a hint triangle and fall
-    back to a vectorized sweep over all triangles after 2F visited.
+    a, b, c >= -eps. Each query walks across edges from a hint triangle and
+    falls back to a vectorized sweep over all triangles after 2F visited.
     """
 
     def __init__(self, mesh: TriangleMesh) -> None:
@@ -122,7 +73,7 @@ class SphereLocator:
         self._neighbors = self._build_neighbors(mesh)
 
     @staticmethod
-    def _build_neighbors(mesh: TriangleMesh) -> NDArray[np.int64]:
+    def _build_neighbors(mesh: TriangleMesh) -> IntArray:
         """neighbors[t, c] = triangle across the edge opposite corner c (-1 if none)."""
         owner: dict[tuple[int, int], tuple[int, int]] = {}
         neighbors = np.full((mesh.face_count, 3), -1, dtype=np.int64)
@@ -140,58 +91,50 @@ class SphereLocator:
                     neighbors[ot, oc] = t
         return neighbors
 
-    def _coeffs(self, t: int, p: FloatArray) -> FloatArray:
-        return self._inv[t] @ p
+    def locate(self, points, hints=None) -> tuple[IntArray, FloatArray]:
+        """Containing triangles (n,) and barycentric (s, t) (n, 2) of unit vectors.
 
-    def locate(self, p, hint: int | None = None) -> SurfaceLocation:
-        """Containing triangle and barycentric coordinates for unit vector p."""
-        p = np.asarray(p, dtype=np.float64)
-        mesh = self.mesh
-        t = int(hint) if hint is not None and 0 <= hint < mesh.face_count else 0
-        visited = 0
-        cap = 2 * mesh.face_count
-        while visited < cap:
-            lam = self._coeffs(t, p)
-            scale = max(1.0, float(np.abs(lam).max()))
-            if lam.min() >= -GNOMONIC_EPS * scale:
-                return self._to_location(t, lam)
-            nxt = self._neighbors[t, int(np.argmin(lam))]
-            if nxt < 0:
-                break  # boundary edge: walk cannot proceed, fall back
-            t = int(nxt)
-            visited += 1
-        return self._brute_force(p)
+        All points walk together: each step tests every point still walking
+        against its current triangle and moves the ones outside across the
+        edge opposite their most negative coordinate. Hints outside the face
+        range start from triangle 0.
+        """
+        p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        faces = self.mesh.face_count
+        tri = np.zeros(p.shape[0], dtype=np.int64)
+        if hints is not None:
+            hints = np.asarray(hints, dtype=np.int64)
+            tri = np.where((hints >= 0) & (hints < faces), hints, 0)
+        lam = np.empty_like(p)
+        walking = np.arange(p.shape[0])
+        lost = []  # points whose walk hit a boundary edge
+        for _ in range(2 * faces):
+            if walking.size == 0:
+                break
+            t = tri[walking]
+            lam_w = np.matmul(self._inv[t], p[walking, :, None])[:, :, 0]
+            lam[walking] = lam_w
+            scale = np.maximum(1.0, np.abs(lam_w).max(axis=1))
+            outside = ~(lam_w.min(axis=1) >= -GNOMONIC_EPS * scale)
+            nxt = self._neighbors[t[outside], lam_w[outside].argmin(axis=1)]
+            walking = walking[outside]
+            lost.append(walking[nxt < 0])
+            walking = walking[nxt >= 0]
+            tri[walking] = nxt[nxt >= 0]
+        for i in np.concatenate([walking, *lost]):
+            tri[i], lam[i] = self._brute_force(p[i])
+        b = np.clip(lam, 0.0, None)
+        b /= b.sum(axis=1, keepdims=True)
+        return tri, clamp_bary(b[:, 1:])
 
-    def _brute_force(self, p: FloatArray) -> SurfaceLocation:
+    def _brute_force(self, p: FloatArray) -> tuple[int, FloatArray]:
         lam = np.einsum("fij,j->fi", self._inv, p)
         scale = np.maximum(1.0, np.abs(lam).max(axis=1))
         inside = np.nonzero(lam.min(axis=1) >= -GNOMONIC_EPS * scale)[0]
         if inside.size == 0:
             raise LocationError("no triangle contains the query point (corrupt sphere mesh?)")
         t = int(inside[0])  # deterministic: lowest triangle index on ties
-        return self._to_location(t, lam[t])
-
-    @staticmethod
-    def _to_location(t: int, lam: FloatArray) -> SurfaceLocation:
-        b = np.clip(lam, 0.0, None)
-        b /= b.sum()
-        return SurfaceLocation(t, float(b[1]), float(b[2]))
-
-    def locate_many(self, points, hints=None) -> list[SurfaceLocation]:
-        points = np.asarray(points, dtype=np.float64)
-        if hints is None:
-            hints = [None] * points.shape[0]
-        return [self.locate(p, hint=h) for p, h in zip(points, hints)]
-
-
-def relocate_on_sphere_mesh(p, hint: int, sphere_mesh: TriangleMesh | SphereLocator) -> SurfaceLocation:
-    """Locate unit vector `p` on a sphere mesh, walking from `hint`.
-
-    Convenience wrapper; loops should construct one :class:`SphereLocator`
-    and call :meth:`SphereLocator.locate` to reuse the precomputed tables.
-    """
-    locator = sphere_mesh if isinstance(sphere_mesh, SphereLocator) else SphereLocator(sphere_mesh)
-    return locator.locate(p, hint=hint)
+        return t, lam[t]
 
 
 def sample_points(
@@ -199,7 +142,7 @@ def sample_points(
     source_areas,
     count: int,
     seed: int,
-) -> list[SurfaceLocation]:
+) -> tuple[IntArray, FloatArray]:
     """Sample locations on the sphere mesh, weighted by source-mesh triangle areas.
 
     The triangle is drawn with probability proportional to the corresponding
@@ -220,6 +163,4 @@ def sample_points(
     r1 = rng.random(count)
     r2 = rng.random(count)
     sq = np.sqrt(r1)
-    s = sq * (1.0 - r2)
-    t = sq * r2
-    return [SurfaceLocation(int(a), float(b), float(c)) for a, b, c in zip(tri, s, t)]
+    return tri.astype(np.int64), clamp_bary(np.stack([sq * (1.0 - r2), sq * r2], axis=1))

@@ -180,11 +180,9 @@ class TestAtlas:
         assert atlas.source_mesh.face_count == atlas.triangle_grad_h.shape[0]
 
     def test_factor_interpolation_matches_vertices(self, ellipsoid_atlas):
-        from surfvort.transport import SurfaceLocation
-
         tri = 42
         vid = ellipsoid_atlas.source_mesh.triangles[tri][0]
-        loc = SurfaceLocation(tri, 0.0, 0.0)
-        assert ellipsoid_atlas.factor_at(loc) == pytest.approx(
+        h = ellipsoid_atlas.factor_at(np.array([tri]), np.zeros((1, 2)))
+        assert h[0] == pytest.approx(
             ellipsoid_atlas.factors[vid], abs=1e-15
         )

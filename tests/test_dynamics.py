@@ -10,6 +10,8 @@ from surfvort import (
     VorticityBalanceError,
     balance_vorticity,
     energy_diagnostics,
+    green_plane,
+    green_sphere,
     kinetic_energy,
     metric_hamiltonian,
     planar_field_velocity,
@@ -205,6 +207,25 @@ class TestPairSumAccuracy:
         u = sphere_vortex_velocities(system)
         exact = fsum_sphere_velocities(system.positions, system.strengths)
         assert worst_row_error(u, exact) < 1e-12
+
+    @pytest.mark.parametrize("geometry", [PLANE, SPHERE])
+    @pytest.mark.parametrize("n", [120, 2000])
+    def test_stream_function(self, geometry, n):
+        # 50 field points off the vortices; the terms come from the same
+        # broadcast kernel call the library makes, so only the sum is compared
+        rng = np.random.default_rng(n)
+        if geometry == PLANE:
+            pts = np.zeros((n + 50, 3))
+            pts[:, :2] = rng.uniform(-1.5, 1.5, (n + 50, 2))
+        else:
+            pts = normalize_rows(rng.normal(size=(n + 50, 3)))
+        system = VortexSystem(geometry, pts[:n], rng.uniform(-1.0, 1.0, n))
+        x = pts[n:]
+        psi = stream_function(x, system)
+        green = green_plane if geometry == PLANE else green_sphere
+        terms = system.strengths * green(x[:, None, :], system.positions[None, :, :])
+        for value, row in zip(psi, terms):
+            assert abs(value - math.fsum(row)) < 1e-12 * math.fsum(np.abs(row))
 
 
 class TestSurfaceVelocities:
@@ -408,9 +429,3 @@ class TestVortexSystem:
     def test_two_column_input_embeds(self):
         system = VortexSystem(PLANE, [[1.0, 2.0]], [1.0])
         np.testing.assert_array_equal(system.positions, [[1.0, 2.0, 0.0]])
-
-    def test_iteration_yields_point_vortices(self):
-        system = plane_system([[1, 0, 0], [-1, 0, 0]], [1.0, -2.0])
-        vortices = list(system)
-        assert vortices[1].strength == -2.0
-        np.testing.assert_array_equal(vortices[0].position, [1, 0, 0])

@@ -25,15 +25,6 @@ class TestConfig:
             IntegratorConfig(dt=0.0, steps=10)
         with pytest.raises(ValueError):
             IntegratorConfig(dt=0.1, steps=-1)
-        with pytest.raises(ValueError):
-            IntegratorConfig(dt=0.1, steps=1, scheme="rk2")
-        with pytest.raises(ValueError):
-            IntegratorConfig(dt=0.1, steps=1, advection="spiral")
-
-    def test_advection_must_match_geometry(self, rng):
-        system = random_sphere_system(rng, 2)
-        with pytest.raises(ValueError):
-            run(system, make_rhs(system), IntegratorConfig(dt=0.1, steps=1))
 
 
 class TestAdvectSphere:
@@ -104,7 +95,7 @@ class TestRk4Step:
         p1 = [math.cos(s), math.sin(s), 0.0]
         p2 = [math.cos(s), -math.sin(s), 0.0]
         system = VortexSystem(SPHERE, [p1, p2], [-1.0, 1.0])
-        cfg = IntegratorConfig(dt=0.002, steps=1000, advection="rotational")
+        cfg = IntegratorConfig(dt=0.002, steps=1000)
         result = run(system, make_rhs(system), cfg)
         dots = [float(r.positions[0] @ r.positions[1]) for r in result.records]
         assert max(abs(d - dots[0]) for d in dots) < 1e-9
@@ -186,7 +177,7 @@ class TestInvariants:
     def test_sphere_norm_never_drifts(self, rng):
         system = random_sphere_system(rng, 4)
         result = run(system, make_rhs(system),
-                     IntegratorConfig(dt=0.01, steps=500, advection="rotational"))
+                     IntegratorConfig(dt=0.01, steps=500))
         worst = max(
             abs(np.linalg.norm(r.positions, axis=1) - 1.0).max() for r in result.records
         )
@@ -195,9 +186,9 @@ class TestInvariants:
     def test_time_reversal(self, rng):
         # reversing every strength integrates the time-reversed flow: RK4 with
         # (-w, +dt) is algebraically identical to (w, -dt)
-        for make, adv in ((random_plane_system, "planar"), (random_sphere_system, "rotational")):
+        for make in (random_plane_system, random_sphere_system):
             system = make(rng, 3)
-            cfg = IntegratorConfig(dt=1e-3, steps=50, advection=adv)
+            cfg = IntegratorConfig(dt=1e-3, steps=50)
             fw = run(system, make_rhs(system), cfg)
             back_sys = VortexSystem(system.geometry, fw.records[-1].positions,
                                     -system.strengths)

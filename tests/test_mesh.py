@@ -7,8 +7,6 @@ from surfvort import (
     DegenerateTriangleError,
     MeshFormatError,
     TriangleMesh,
-    face_area,
-    face_normal,
     load_obj,
     save_obj,
     total_area,
@@ -128,8 +126,8 @@ class TestValidate:
 class TestGeometry:
     def test_right_triangle(self):
         mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
-        assert face_area(mesh, 0) == pytest.approx(0.5, abs=1e-15)
-        np.testing.assert_allclose(face_normal(mesh, 0), [0, 0, 1], atol=1e-15)
+        assert face_areas(mesh)[0] == pytest.approx(0.5, abs=1e-15)
+        np.testing.assert_allclose(face_normals(mesh)[0], [0, 0, 1], atol=1e-15)
 
     def test_icosphere_area_converges_to_sphere(self):
         # refine until the polyhedral area is within 1% of 4 pi
@@ -145,7 +143,7 @@ class TestGeometry:
     def test_degenerate_normal_raises(self):
         mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0]], [[0, 1, 2], [0, 1, 3]])
         with pytest.raises(DegenerateTriangleError):
-            face_normal(mesh, 0)
+            face_normals(TriangleMesh(mesh.vertices, mesh.triangles[:1]))  # triangle 0 alone
         with pytest.raises(DegenerateTriangleError):
             face_normals(mesh)
 

@@ -42,6 +42,14 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError):
             parse_scenario({"geometry": "plane", "vortices": [{"position": [0, 0], "strength": 1}]})
 
+    def test_only_rk4_scheme(self, tmp_path):
+        doc = dict(PAIR_SCENARIO, integrator={"dt": 0.01, "steps": 1, "scheme": "rk2"})
+        with pytest.raises(ScenarioError):
+            parse_scenario(doc)
+        assert main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+        rk4 = dict(PAIR_SCENARIO, integrator={"dt": 0.01, "steps": 1, "scheme": "rk4"})
+        assert parse_scenario(rk4).integrator.steps == 1
+
     def test_unknown_geometry(self):
         with pytest.raises(ScenarioError):
             parse_scenario({"geometry": "cylinder", "vortices": [], "integrator": {"dt": 1, "steps": 1}})
