@@ -119,26 +119,27 @@ def _write_samples(path: str, tri, st, atlas) -> None:
             fh.write(f"{tri[i]}," + ",".join(_fmt(v) for v in values) + "\n")
 
 
-def _grid_points(grid: dict, prepared) -> np.ndarray:
+def _grid_points(grid: dict, prepared):
+    """Field points (n, 3), and their sphere-mesh ``(tri, st)`` when the grid samples them."""
     kind = grid.get("kind")
     if kind == "plane_grid":
         xs = np.linspace(float(grid["xmin"]), float(grid["xmax"]), int(grid["nx"]))
         ys = np.linspace(float(grid["ymin"]), float(grid["ymax"]), int(grid["ny"]))
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        return np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)], axis=1)
+        return np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)], axis=1), None
     if kind == "ring":
         cx, cy = (float(v) for v in grid.get("center", [0.0, 0.0]))
         r = float(grid["radius"])
         phi = 2.0 * np.pi * np.arange(int(grid["count"])) / int(grid["count"])
-        return np.stack([cx + r * np.cos(phi), cy + r * np.sin(phi), np.zeros(phi.size)], axis=1)
+        pts = np.stack([cx + r * np.cos(phi), cy + r * np.sin(phi), np.zeros(phi.size)], axis=1)
+        return pts, None
     if kind == "sphere_grid":
         n_pol, n_az = int(grid["n_polar"]), int(grid["n_azimuth"])
         theta = np.pi * (np.arange(n_pol) + 0.5) / n_pol
         phi = 2.0 * np.pi * np.arange(n_az) / n_az
         tt, pp = np.meshgrid(theta, phi, indexing="ij")
-        return np.stack(
-            [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
-        ).reshape(-1, 3)
+        pts = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1)
+        return pts.reshape(-1, 3), None
     if kind == "surface_samples":
         tri, st = sample_points(
             prepared.atlas.sphere_mesh,
@@ -146,13 +147,13 @@ def _grid_points(grid: dict, prepared) -> np.ndarray:
             int(grid["count"]),
             int(grid.get("seed", 0)),
         )
-        return normalize_rows(position_of(prepared.atlas.sphere_mesh, tri, st))
+        return normalize_rows(position_of(prepared.atlas.sphere_mesh, tri, st)), (tri, st)
     raise ScenarioError(f"unknown field grid kind {grid.get('kind')!r}")
 
 
 def _write_field(path: str, prepared, grid: dict) -> None:
     system = prepared.system
-    pts = _grid_points(grid, prepared)
+    pts, locations = _grid_points(grid, prepared)
     # skip (and flag) points inside the singularity guard of any vortex
     if system.geometry == PLANE:
         dist = np.linalg.norm(pts[:, None, :] - system.positions[None, :, :], axis=2).min(axis=1)
@@ -162,6 +163,8 @@ def _write_field(path: str, prepared, grid: dict) -> None:
     keep = dist >= EPS_SEPARATION
     skipped = int(np.count_nonzero(~keep))
     pts = pts[keep]
+    if locations is not None:
+        locations = (locations[0][keep], locations[1][keep])
 
     has_stream = system.geometry != CLOSED_SURFACE
     if system.geometry == PLANE:
@@ -169,7 +172,7 @@ def _write_field(path: str, prepared, grid: dict) -> None:
     elif system.geometry == SPHERE:
         vel = sphere_field_velocity(pts, system)
     else:
-        vel = surface_field_velocity(pts, system, prepared.atlas)
+        vel = surface_field_velocity(pts, system, prepared.atlas, locations=locations)
     psi = stream_function(pts, system) if has_stream else None
 
     with _open_out(path) as fh:

@@ -4,6 +4,19 @@ The map is produced by conformalized mean-curvature flow: implicit steps
 ``(D_k + delta * L0) f_{k+1} = D_k f_k`` with the stiffness matrix L0 frozen
 at the input mesh and the lumped mass D_k recomputed from the current
 embedding, recentering and rescaling to total area 4 pi after every solve.
+
+Only the diagonal D_k changes between steps, and slowly, so one LU factor of
+``D_f + delta * L0`` (``splu``) serves several steps: later steps solve by
+conjugate gradients preconditioned with the kept factor, started from f_k
+and stopped at a relative residual of 1e-12 per coordinate column. Both
+matrices are SPD; with ``r = D_k / D_f`` their Rayleigh quotients differ by
+a factor between min(r, 1) and max(r, 1), and both masses total 4 pi, so
+min r <= 1 <= max r and the preconditioned condition number is at most
+``max r / min r``. A step factors its own matrix and solves it directly
+when that spread exceeds 2 (which caps CG near 16 iterations) or when CG
+misses its tolerance within its iteration cap. Every step's solution must
+still meet the 1e-10 relative residual check.
+
 Per-vertex conformal factors follow from corner-wise edge-length ratios, and
 per-triangle gradients of vertex scalars use the piecewise-linear hat-basis
 gradient (rotated-edge form, exact on linear functions).
@@ -24,6 +37,14 @@ from .numerics import readonly
 from .transport import SphereLocator
 
 FloatArray = NDArray[np.float64]
+
+# Largest max/min ratio of the current to the factored lumped mass at which the
+# kept factor still preconditions a step; beyond it the step factors afresh.
+MAX_MASS_SPREAD = 2.0
+# Per-column relative residual at which conjugate gradients stops, and the
+# iteration cap after which the step factors afresh instead.
+PCG_RTOL = 1e-12
+PCG_MAX_ITERS = 40
 
 
 @dataclass(frozen=True)
@@ -127,12 +148,13 @@ def cmcf_to_sphere(
     if report.min_triangle_area <= mesh.degenerate_area_threshold():
         raise DegenerateTriangleError("input mesh has degenerate triangles")
 
-    stiffness = cotan_laplacian(mesh).stiffness.tocsc()
+    delta_stiffness = (delta * cotan_laplacian(mesh).stiffness).tocsc()
     f = np.array(mesh.vertices)
     tris = mesh.triangles
     iterations = 0
     residual = np.inf
     converged = False
+    solver = factored_mass = None
     for k in range(max_iters + 1):
         mass = lumped_mass(f, tris)
         if not np.all(np.isfinite(mass)) or mass.sum() <= 0.0:
@@ -146,13 +168,19 @@ def cmcf_to_sphere(
             break
         if k == max_iters:
             break
-        lhs = (sparse.diags(mass) + delta * stiffness).tocsc()
-        try:
-            solver = splu(lhs)
-            new_f = solver.solve(mass[:, None] * f)
-        except RuntimeError as exc:
-            raise ConformalMapError(f"sparse solve failed at iteration {k}: {exc}") from exc
+        lhs = (sparse.diags(mass) + delta_stiffness).tocsc()
         rhs = mass[:, None] * f
+        new_f = None
+        if solver is not None:
+            ratio = mass / factored_mass
+            if ratio.max() <= MAX_MASS_SPREAD * ratio.min():
+                new_f = _pcg(lhs, rhs, f, solver.solve)
+        if new_f is None:
+            try:
+                solver, factored_mass = splu(lhs), mass
+                new_f = solver.solve(rhs)
+            except RuntimeError as exc:
+                raise ConformalMapError(f"sparse solve failed at iteration {k}: {exc}") from exc
         resid = np.linalg.norm(lhs @ new_f - rhs) / np.linalg.norm(rhs)
         if not np.isfinite(resid) or resid > 1e-10:
             raise ConformalMapError(f"solver residual {resid:g} exceeds 1e-10 at iteration {k}")
@@ -165,6 +193,31 @@ def cmcf_to_sphere(
         sphericity_residual=residual,
         converged=converged,
     )
+
+
+def _pcg(lhs, rhs: FloatArray, x: FloatArray, precondition) -> FloatArray | None:
+    """Preconditioned conjugate gradients on the columns of ``lhs @ x = rhs``.
+
+    The columns iterate together, each with its own step lengths, from the
+    start `x` until every column's residual is within PCG_RTOL of its
+    right-hand side; None if that takes more than PCG_MAX_ITERS iterations.
+    """
+    target = PCG_RTOL * np.linalg.norm(rhs, axis=0)
+    r = rhs - lhs @ x
+    z = precondition(r)
+    p = z
+    rz = np.einsum("ij,ij->j", r, z)
+    for _ in range(PCG_MAX_ITERS):
+        q = lhs @ p
+        alpha = rz / np.einsum("ij,ij->j", p, q)
+        x = x + alpha * p
+        r = r - alpha * q
+        if np.all(np.linalg.norm(r, axis=0) <= target):
+            return x
+        z = precondition(r)
+        rz, rz_old = np.einsum("ij,ij->j", r, z), rz
+        p = z + (rz / rz_old) * p
+    return None
 
 
 def _edge_lengths(vertices: FloatArray, tris) -> tuple[FloatArray, FloatArray, FloatArray]:

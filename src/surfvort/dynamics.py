@@ -247,15 +247,27 @@ def surface_vortex_velocities(
     return (pair + self_term_sign * self_term) / (4.0 * np.pi * (h * h)[:, None])
 
 
-def surface_field_velocity(x, system: VortexSystem, atlas: ConformalAtlas) -> FloatArray:
-    """Passive velocity at sphere point(s) x; no self term, scaled by 1/h(x)^2."""
+def surface_field_velocity(
+    x,
+    system: VortexSystem,
+    atlas: ConformalAtlas,
+    locations: tuple[NDArray[np.int64], FloatArray] | None = None,
+) -> FloatArray:
+    """Passive velocity at sphere point(s) x; no self term, scaled by 1/h(x)^2.
+
+    `locations` may pass the points' sphere-mesh ``(tri, st)`` arrays to skip
+    point location.
+    """
     _require_geometry(system, CLOSED_SURFACE)
     _require_balanced(system.strengths)
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
     pair = _sphere_pair_sum(pts, system.positions, system.strengths, exclude_diagonal=False)
-    h = atlas.factor_at(*atlas.locator.locate(pts))
+    tri, st = atlas.locator.locate(pts) if locations is None else locations
+    if tri.shape != (pts.shape[0],):
+        raise ValueError("need one sphere-mesh location per field point")
+    h = atlas.factor_at(tri, st)
     u = pair / (4.0 * np.pi * (h * h)[:, None])
     return u[0] if single else u
 

@@ -71,12 +71,21 @@ class TriangleMesh:
 
     def undirected_edges(self) -> IntArray:
         """Unique undirected edges as a sorted (E, 2) index array."""
-        e = self._directed_edges()
-        return np.unique(np.sort(e, axis=1), axis=0)
+        keys = np.unique(self.edge_keys())
+        return np.stack([keys // self.vertex_count, keys % self.vertex_count], axis=1)
 
     def _directed_edges(self) -> IntArray:
         t = self.triangles
         return np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+
+    def edge_keys(self) -> IntArray:
+        """int64 keys min * V + max of the edges (0, 1), then (1, 2), then (2, 0) of all faces.
+
+        Shape (3F,): entry r * F + f belongs to face f. Equal keys mean the same
+        undirected edge.
+        """
+        e = self._directed_edges()
+        return e.min(axis=1) * self.vertex_count + e.max(axis=1)
 
     def bounding_box_diagonal(self) -> float:
         ext = self.vertices.max(axis=0) - self.vertices.min(axis=0)
@@ -118,9 +127,8 @@ def validate_closed_genus0(mesh: TriangleMesh) -> TopologyReport:
     ``boundary_edge_count != 0`` or ``is_oriented`` is false.
     """
     directed = mesh._directed_edges()
-    undirected = np.sort(directed, axis=1)
-    _, counts = np.unique(undirected, axis=0, return_counts=True)
-    n_directed_unique = np.unique(directed, axis=0).shape[0]
+    _, counts = np.unique(mesh.edge_keys(), return_counts=True)
+    n_directed_unique = np.unique(directed[:, 0] * mesh.vertex_count + directed[:, 1]).shape[0]
     # orientable as given: no directed edge repeats and no edge borders >2 faces
     oriented = bool(n_directed_unique == directed.shape[0] and counts.max(initial=0) <= 2)
     edge_count = counts.shape[0]

@@ -74,22 +74,20 @@ class SphereLocator:
 
     @staticmethod
     def _build_neighbors(mesh: TriangleMesh) -> IntArray:
-        """neighbors[t, c] = triangle across the edge opposite corner c (-1 if none)."""
-        owner: dict[tuple[int, int], tuple[int, int]] = {}
-        neighbors = np.full((mesh.face_count, 3), -1, dtype=np.int64)
-        tris = mesh.triangles
-        for t in range(mesh.face_count):
-            i, j, k = tris[t]
-            for c, (a, b) in enumerate(((j, k), (k, i), (i, j))):
-                key = (a, b) if a < b else (b, a)
-                other = owner.get(key)
-                if other is None:
-                    owner[key] = (t, c)
-                else:
-                    ot, oc = other
-                    neighbors[t, c] = ot
-                    neighbors[ot, oc] = t
-        return neighbors
+        """neighbors[t, c] = triangle across the edge opposite corner c (-1 if none).
+
+        The edges opposite each corner are sorted by their vertex-pair key and
+        equal neighbours in that order are paired.
+        """
+        n_faces = mesh.face_count
+        keys = mesh.edge_keys()  # edges (0, 1), (1, 2), (2, 0): opposite corners 2, 0, 1
+        order = np.argsort(keys, kind="stable")
+        pair = np.nonzero(keys[order[1:]] == keys[order[:-1]])[0]
+        first, second = order[pair], order[pair + 1]
+        neighbors = np.full(3 * n_faces, -1, dtype=np.int64)
+        neighbors[first] = second % n_faces
+        neighbors[second] = first % n_faces
+        return np.ascontiguousarray(neighbors.reshape(3, n_faces).T[:, [1, 2, 0]])
 
     def locate(self, points, hints=None) -> tuple[IntArray, FloatArray]:
         """Containing triangles (n,) and barycentric (s, t) (n, 2) of unit vectors.

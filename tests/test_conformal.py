@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from surfvort import (
+    ConformalMapError,
     TopologyError,
     TriangleMesh,
     build_atlas,
@@ -12,9 +14,11 @@ from surfvort import (
     cotan_laplacian,
     triangle_gradient,
 )
+from surfvort import conformal
 from surfvort.conformal import angle_distortions, edge_scale_residuals
 from surfvort.shapes import ellipsoid, icosphere
 
+from conftest import BLOB_TOL
 from helpers import rotation_matrix, torus_mesh
 
 
@@ -68,6 +72,32 @@ class TestCotanLaplacian:
         assert op.mass.sum() == pytest.approx(total_area(icosphere2), rel=1e-12)
 
 
+def checked_flow(monkeypatch, mesh, **kwargs):
+    """cmcf_to_sphere with its LU factorizations counted and every CG solve
+    compared with a direct splu solve of the same system."""
+    factored = []
+    pcg = conformal._pcg
+
+    def counting_splu(lhs):
+        factored.append(lhs.shape)
+        return splu(lhs)
+
+    def checked_pcg(lhs, rhs, x, precondition):
+        got = pcg(lhs, rhs, x, precondition)
+        assert got is not None
+        np.testing.assert_allclose(got, splu(lhs).solve(rhs), rtol=0.0, atol=1e-11)
+        return got
+
+    with monkeypatch.context() as m:
+        m.setattr(conformal, "splu", counting_splu)
+        m.setattr(conformal, "_pcg", checked_pcg)
+        result = cmcf_to_sphere(mesh, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(conformal, "_pcg", lambda *args: None)  # every step factors
+        direct = cmcf_to_sphere(mesh, **kwargs)
+    return result, direct, len(factored)
+
+
 class TestCmcf:
     def test_unit_icosphere_is_fixed_point(self, icosphere3):
         result = cmcf_to_sphere(icosphere3)
@@ -106,6 +136,63 @@ class TestCmcf:
         assert abs(a.sphericity_residual - b.sphericity_residual) < 1e-6
         for stat in (np.min, np.max, np.median):
             assert abs(stat(a.factors) - stat(b.factors)) < 1e-6
+
+    def assert_same_flow(self, result, direct):
+        assert result.iterations_used == direct.iterations_used
+        assert result.converged == direct.converged
+        assert result.sphericity_residual == pytest.approx(direct.sphericity_residual, rel=1e-9)
+        np.testing.assert_allclose(result.positions, direct.positions, rtol=0.0, atol=1e-10)
+
+    def test_blob_factors_once(self, monkeypatch, blob4):
+        result, direct, factors = checked_flow(monkeypatch, blob4, tol=BLOB_TOL)
+        assert factors == 1
+        assert result.converged and result.iterations_used > 10
+        self.assert_same_flow(result, direct)
+
+    def test_elongated_ellipsoid_refactors(self, monkeypatch):
+        # a coarse 1:2:5 ellipsoid: the mass moves fast early on and the
+        # mass-spread rule factors afresh several times
+        mesh = ellipsoid(1.0, 2.0, 5.0, subdivisions=3)
+        result, direct, factors = checked_flow(monkeypatch, mesh, tol=1e-2, max_iters=60)
+        assert 3 <= factors < result.iterations_used
+        self.assert_same_flow(result, direct)
+
+    def test_missed_cg_tolerance_factors_afresh(self, monkeypatch, blob4):
+        calls = []
+
+        def counting_splu(lhs):
+            calls.append(1)
+            return splu(lhs)
+
+        monkeypatch.setattr(conformal, "splu", counting_splu)
+        monkeypatch.setattr(conformal, "PCG_MAX_ITERS", 1)
+        result = cmcf_to_sphere(blob4, tol=BLOB_TOL)
+        assert len(calls) == result.iterations_used
+
+    def test_bad_factor_solve_raises(self, monkeypatch, blob4):
+        class WrongFactor:
+            def __init__(self, lhs):
+                pass
+
+            def solve(self, rhs):
+                return 0.5 * rhs
+
+        monkeypatch.setattr(conformal, "splu", WrongFactor)
+        with pytest.raises(ConformalMapError, match="exceeds 1e-10 at iteration 0"):
+            cmcf_to_sphere(blob4, tol=BLOB_TOL)
+
+    def test_bad_cg_solve_raises(self, monkeypatch, blob4):
+        monkeypatch.setattr(conformal, "_pcg", lambda lhs, rhs, x, precondition: 1.01 * x)
+        with pytest.raises(ConformalMapError, match="exceeds 1e-10 at iteration 1"):
+            cmcf_to_sphere(blob4, tol=BLOB_TOL)
+
+    def test_failed_factorization_raises(self, monkeypatch, blob4):
+        def singular(lhs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(conformal, "splu", singular)
+        with pytest.raises(ConformalMapError, match="sparse solve failed at iteration 0"):
+            cmcf_to_sphere(blob4, tol=BLOB_TOL)
 
 
 class TestConformalFactors:

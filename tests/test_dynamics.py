@@ -16,6 +16,8 @@ from surfvort import (
     metric_hamiltonian,
     planar_field_velocity,
     planar_vortex_velocities,
+    position_of,
+    sample_points,
     sphere_field_velocity,
     sphere_vortex_velocities,
     stream_function,
@@ -298,6 +300,20 @@ class TestSurfaceField:
             sphere_field_velocity(x, sphere) / 4.0,
             atol=1e-12,
         )
+
+    def test_passed_locations_match_located(self, blob_atlas, rng):
+        pos = random_sphere_system(rng, 4).positions
+        surf = VortexSystem(CLOSED_SURFACE, pos, [1.0, -1.0, 0.5, -0.5])
+        mesh = blob_atlas.sphere_mesh
+        tri, st = sample_points(mesh, np.ones(mesh.face_count), 200, seed=5)
+        x = normalize_rows(position_of(mesh, tri, st))
+        np.testing.assert_allclose(
+            surface_field_velocity(x, surf, blob_atlas, locations=(tri, st)),
+            surface_field_velocity(x, surf, blob_atlas),
+            rtol=1e-12, atol=1e-14,
+        )
+        with pytest.raises(ValueError):
+            surface_field_velocity(x, surf, blob_atlas, locations=(tri[:-1], st[:-1]))
 
     def test_near_vortex_image_raises(self, rng):
         atlas = ConformalAtlas.identity(icosphere(2))

@@ -170,6 +170,35 @@ class TestRelocate:
         assert mismatches == 0
 
 
+def dict_neighbors(mesh):
+    """Edge-adjacency table by a dict from each undirected edge to its first owner."""
+    owner = {}
+    neighbors = np.full((mesh.face_count, 3), -1, dtype=np.int64)
+    for t, (i, j, k) in enumerate(mesh.triangles.tolist()):
+        for c, edge in enumerate(((j, k), (k, i), (i, j))):
+            key = tuple(sorted(edge))
+            if key in owner:
+                ot, oc = owner[key]
+                neighbors[t, c], neighbors[ot, oc] = ot, t
+            else:
+                owner[key] = (t, c)
+    return neighbors
+
+
+class TestNeighbors:
+    def test_matches_dict_reference_on_blob_atlas(self, blob_atlas):
+        mesh = blob_atlas.sphere_mesh
+        got = SphereLocator(mesh)._neighbors
+        np.testing.assert_array_equal(got, dict_neighbors(mesh))
+        assert got.min() >= 0
+
+    def test_open_mesh_boundary_is_minus_one(self, icosphere2):
+        mesh = TriangleMesh(icosphere2.vertices, icosphere2.triangles[:-3])
+        got = SphereLocator._build_neighbors(mesh)
+        np.testing.assert_array_equal(got, dict_neighbors(mesh))
+        assert np.count_nonzero(got == -1) > 0
+
+
 class TestSamplePoints:
     def test_two_triangle_area_weights(self):
         mesh = TriangleMesh(
