@@ -20,7 +20,6 @@ from .dynamics import (
     DEFAULT_SELF_TERM_SIGN,
     PLANE,
     SPHERE,
-    EnergyDiagnostics,
     VortexSystem,
     balance_vorticity,
     energy_diagnostics,
@@ -49,8 +48,6 @@ from .errors import (
 from .integrator import (
     IntegratorConfig,
     RunResult,
-    TrajectoryRecord,
-    advect_sphere,
     rk4_step,
     run,
 )
@@ -58,18 +55,15 @@ from .kernels import (
     EPS_SEPARATION,
     green_plane,
     green_sphere,
-    plane_point,
     sgrad_green_plane,
     sgrad_green_sphere,
     sphere_distance,
-    sphere_point,
 )
 from .mesh import (
     TopologyReport,
     TriangleMesh,
     load_obj,
     save_obj,
-    total_area,
     validate_closed_genus0,
 )
 from .transport import (

@@ -35,8 +35,8 @@ from .errors import ScenarioError, SurfVortError, TopologyError
 from .integrator import run as integrate
 from .kernels import EPS_SEPARATION
 from .mesh import face_areas, load_obj, save_obj
-from .numerics import normalize_rows
-from .scenario import Scenario, build_run, load_scenario, materialize_preset, presets
+from .numerics import normalize_rows, write_rows
+from .scenario import build_run, check_grid, load_scenario, materialize_preset, presets
 from .transport import position_of, sample_points
 
 EXIT_OK = 0
@@ -44,11 +44,6 @@ EXIT_CONFIG = 1
 EXIT_TOPOLOGY = 2
 EXIT_NONCONVERGED = 3
 EXIT_COLLISION = 4
-
-
-def _fmt(x: float) -> str:
-    """Shortest decimal that round-trips the float."""
-    return repr(float(x))
 
 
 def _open_out(path: str):
@@ -65,62 +60,52 @@ def _mesh_content_hash(path: str) -> str:
 # Output writers
 # ---------------------------------------------------------------------------
 
-def _write_trajectories(path: str, records, geometry: str) -> None:
+def _write_csv(path: str, header: str, fmt: str, *columns) -> None:
+    """Header lines, then one `fmt` line per row of the columns (see `write_rows`)."""
     with _open_out(path) as fh:
-        fh.write("step,time,id,mx,my,mz,sx,sy,sz\n")
-        for rec in records:
-            for i, p in enumerate(rec.positions):
-                if geometry == PLANE:
-                    m, s = p, None
-                elif geometry == SPHERE:
-                    m, s = p, p
-                else:
-                    m = rec.source_positions[i] if rec.source_positions is not None else None
-                    s = p
-                mcols = ",".join(_fmt(v) for v in m) if m is not None else ",,"
-                scols = ",".join(_fmt(v) for v in s) if s is not None else ",,"
-                fh.write(f"{rec.step},{_fmt(rec.time)},{i},{mcols},{scols}\n")
+        fh.write(header)
+        write_rows(fh, fmt, *columns)
 
 
-def _write_energy(path: str, records) -> None:
-    with _open_out(path) as fh:
-        fh.write("step,time,E,H_tilde,total_vorticity\n")
-        for rec in records:
-            if rec.energy is None:
-                continue
-            ht = "" if rec.energy.metric_hamiltonian is None else _fmt(rec.energy.metric_hamiltonian)
-            fh.write(
-                f"{rec.step},{_fmt(rec.time)},{_fmt(rec.energy.kinetic_excess)},"
-                f"{ht},{_fmt(rec.energy.total_vorticity)}\n"
-            )
+def _write_trajectories(path: str, result, geometry: str, dt: float) -> None:
+    k, n, _ = result.records.shape
+    s = result.records.reshape(-1, 3)
+    steps = np.repeat(np.arange(k), n)
+    if geometry == PLANE:  # no sphere image: the s columns stay empty
+        fmt, surface = "%d,%r,%d,%r,%r,%r,,,\n", [s]
+    else:
+        m = s if geometry == SPHERE else result.source_positions.reshape(-1, 3)
+        fmt, surface = "%d,%r,%d" + ",%r" * 6 + "\n", [m, s]
+    _write_csv(path, "step,time,id,mx,my,mz,sx,sy,sz\n", fmt,
+               steps, steps * dt, np.tile(np.arange(n), k), *surface)
 
 
-def _write_factors(path: str, atlas) -> None:
-    with _open_out(path) as fh:
-        fh.write("vertex_index,u,h\n")
-        for i, (u, h) in enumerate(zip(atlas.log_factors, atlas.factors)):
-            fh.write(f"{i},{_fmt(u)},{_fmt(h)}\n")
+def _write_energy(path: str, result, geometry: str, dt: float, total_vorticity: float) -> None:
+    steps, energy, h_tilde = result.diagnostics.T
+    total = np.full(len(steps), total_vorticity)
+    # H_tilde is defined on closed surfaces only; elsewhere its column stays empty
+    if geometry == CLOSED_SURFACE:
+        fmt, columns = "%d,%r,%r,%r,%r\n", [energy, h_tilde, total]
+    else:
+        fmt, columns = "%d,%r,%r,,%r\n", [energy, total]
+    _write_csv(path, "step,time,E,H_tilde,total_vorticity\n", fmt, steps, steps * dt, *columns)
 
 
-def _write_grad_h(path: str, atlas) -> None:
-    with _open_out(path) as fh:
-        fh.write("triangle_index,gx,gy,gz\n")
-        for i, g in enumerate(atlas.triangle_grad_h):
-            fh.write(f"{i},{_fmt(g[0])},{_fmt(g[1])},{_fmt(g[2])}\n")
-
-
-def _write_samples(path: str, tri, st, atlas) -> None:
-    sphere = position_of(atlas.sphere_mesh, tri, st)
-    source = position_of(atlas.source_mesh, tri, st)
-    with _open_out(path) as fh:
-        fh.write("triangle,s,t,sx,sy,sz,mx,my,mz\n")
-        for i in range(tri.shape[0]):
-            values = [*st[i], *sphere[i], *source[i]]
-            fh.write(f"{tri[i]}," + ",".join(_fmt(v) for v in values) + "\n")
+def _write_factors(out_dir: str, atlas) -> list[str]:
+    """factors.csv (u and h per vertex) and grad_h.csv (grad h per triangle)."""
+    _write_csv(os.path.join(out_dir, "factors.csv"), "vertex_index,u,h\n", "%d,%r,%r\n",
+               np.arange(len(atlas.factors)), atlas.log_factors, atlas.factors)
+    grad = atlas.triangle_grad_h
+    _write_csv(os.path.join(out_dir, "grad_h.csv"), "triangle_index,gx,gy,gz\n",
+               "%d,%r,%r,%r\n", np.arange(len(grad)), grad)
+    return ["factors.csv", "grad_h.csv"]
 
 
 def _grid_points(grid: dict, prepared):
-    """Field points (n, 3), and their sphere-mesh ``(tri, st)`` when the grid samples them."""
+    """Field points (n, 3), and their sphere-mesh ``(tri, st)`` when the grid samples them.
+
+    The grid has passed `check_grid`, so its kind is known and its keys are there.
+    """
     kind = grid.get("kind")
     if kind == "plane_grid":
         xs = np.linspace(float(grid["xmin"]), float(grid["xmax"]), int(grid["nx"]))
@@ -140,15 +125,10 @@ def _grid_points(grid: dict, prepared):
         tt, pp = np.meshgrid(theta, phi, indexing="ij")
         pts = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1)
         return pts.reshape(-1, 3), None
-    if kind == "surface_samples":
-        tri, st = sample_points(
-            prepared.atlas.sphere_mesh,
-            face_areas(prepared.mesh),
-            int(grid["count"]),
-            int(grid.get("seed", 0)),
-        )
-        return normalize_rows(position_of(prepared.atlas.sphere_mesh, tri, st)), (tri, st)
-    raise ScenarioError(f"unknown field grid kind {grid.get('kind')!r}")
+    # surface_samples
+    tri, st = sample_points(prepared.atlas.sphere_mesh, face_areas(prepared.mesh),
+                            int(grid["count"]), int(grid.get("seed", 0)))
+    return normalize_rows(position_of(prepared.atlas.sphere_mesh, tri, st)), (tri, st)
 
 
 def _write_field(path: str, prepared, grid: dict) -> None:
@@ -175,27 +155,11 @@ def _write_field(path: str, prepared, grid: dict) -> None:
         vel = surface_field_velocity(pts, system, prepared.atlas, locations=locations)
     psi = stream_function(pts, system) if has_stream else None
 
-    with _open_out(path) as fh:
-        fh.write(f"# skipped_near_vortex: {skipped}\n")
-        if not has_stream:
-            fh.write("# stream_function: unsupported on closed surfaces\n")
-            fh.write("x,y,z,ux,uy,uz\n")
-        else:
-            fh.write("x,y,z,ux,uy,uz,psi\n")
-        for i in range(pts.shape[0]):
-            row = [*pts[i], *vel[i]] + ([psi[i]] if has_stream else [])
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _conserved_series(records, geometry: str) -> list[float]:
-    values = []
-    for rec in records:
-        if rec.energy is None:
-            continue
-        q = rec.energy.metric_hamiltonian if geometry == CLOSED_SURFACE else rec.energy.kinetic_excess
-        if q is not None:
-            values.append(q)
-    return values
+    header = f"# skipped_near_vortex: {skipped}\n" + (
+        "x,y,z,ux,uy,uz,psi\n" if has_stream else
+        "# stream_function: unsupported on closed surfaces\nx,y,z,ux,uy,uz\n")
+    columns = [pts, vel] + ([psi] if has_stream else [])
+    _write_csv(path, header, ",".join(["%r"] * (6 + has_stream)) + "\n", *columns)
 
 
 def _max_drift_rel(values: list[float]) -> float | None:
@@ -226,37 +190,41 @@ def _cmd_run(args) -> int:
     system = prepared.system
     rhs = prepared.rhs()
     atlas = prepared.atlas
-    diagnostics = (lambda s: energy_diagnostics(s, atlas)) if scenario.outputs.energy else None
-    map_back = rhs.to_source if system.geometry == CLOSED_SURFACE else None
+
+    def diagnostics(p):  # builds a system object at diagnosed steps only
+        return energy_diagnostics(VortexSystem(system.geometry, p, system.strengths, check=False),
+                                  atlas)
+
     result = integrate(
         system,
         rhs,
         scenario.integrator,
-        diagnostics=diagnostics,
+        diagnostics=diagnostics if scenario.outputs.energy else None,
         diagnostics_every=scenario.diagnostics_every,
-        map_back=map_back,
+        map_back=rhs.to_source if system.geometry == CLOSED_SURFACE else None,
     )
 
+    dt = scenario.integrator.dt
     os.makedirs(out_dir, exist_ok=True)
     written = []
     if scenario.outputs.trajectories:
-        _write_trajectories(os.path.join(out_dir, "trajectories.csv"), result.records, system.geometry)
+        _write_trajectories(os.path.join(out_dir, "trajectories.csv"), result, system.geometry, dt)
         written.append("trajectories.csv")
     if scenario.outputs.energy:
-        _write_energy(os.path.join(out_dir, "energy.csv"), result.records)
+        _write_energy(os.path.join(out_dir, "energy.csv"), result, system.geometry, dt,
+                      system.total_strength)
         written.append("energy.csv")
     if atlas is not None and scenario.outputs.sphere_map:
         save_obj(atlas.sphere_mesh, os.path.join(out_dir, "sphere.obj"))
         written.append("sphere.obj")
     if atlas is not None and scenario.outputs.factors:
-        _write_factors(os.path.join(out_dir, "factors.csv"), atlas)
-        _write_grad_h(os.path.join(out_dir, "grad_h.csv"), atlas)
-        written += ["factors.csv", "grad_h.csv"]
+        written += _write_factors(out_dir, atlas)
     if scenario.outputs.field_grid is not None:
         _write_field(os.path.join(out_dir, "field.csv"), prepared, scenario.outputs.field_grid)
         written.append("field.csv")
 
-    conserved = _conserved_series(result.records, system.geometry)
+    # the drift figure follows H_tilde on closed surfaces and E elsewhere
+    conserved = result.diagnostics[:, 2 if system.geometry == CLOSED_SURFACE else 1].tolist()
     manifest = {
         "scenario": scenario.name,
         "geometry": system.geometry,
@@ -311,18 +279,17 @@ def _cmd_conformal_map(args) -> int:
     out_dir = args.out or os.path.splitext(os.path.basename(args.mesh))[0] + "_map"
     os.makedirs(out_dir, exist_ok=True)
     save_obj(atlas.sphere_mesh, os.path.join(out_dir, "sphere.obj"))
-    _write_factors(os.path.join(out_dir, "factors.csv"), atlas)
-    _write_grad_h(os.path.join(out_dir, "grad_h.csv"), atlas)
+    _write_factors(out_dir, atlas)
     residuals = edge_scale_residuals(atlas)
     angles = angle_distortions(atlas)
     with _open_out(os.path.join(out_dir, "report.txt")) as fh:
         fh.write(f"converged: {atlas.converged}\n")
         fh.write(f"iterations: {atlas.iterations_used}\n")
-        fh.write(f"sphericity_residual: {_fmt(atlas.sphericity_residual)}\n")
-        fh.write(f"edge_scale_residual_median: {_fmt(float(np.median(residuals)))}\n")
-        fh.write(f"angle_distortion_median_deg: {_fmt(float(np.degrees(np.median(angles))))}\n")
-        fh.write(f"factor_min: {_fmt(float(atlas.factors.min()))}\n")
-        fh.write(f"factor_max: {_fmt(float(atlas.factors.max()))}\n")
+        fh.write(f"sphericity_residual: {float(atlas.sphericity_residual)!r}\n")
+        fh.write(f"edge_scale_residual_median: {float(np.median(residuals))!r}\n")
+        fh.write(f"angle_distortion_median_deg: {float(np.degrees(np.median(angles)))!r}\n")
+        fh.write(f"factor_min: {float(atlas.factors.min())!r}\n")
+        fh.write(f"factor_max: {float(atlas.factors.max())!r}\n")
     if not atlas.converged:
         print(f"error: conformal map did not converge after {args.max_iters} iterations",
               file=sys.stderr)
@@ -342,6 +309,7 @@ def _cmd_field(args) -> int:
         grid = scenario.outputs.field_grid
     if grid is None:
         raise ScenarioError("no field grid: pass --grid or set outputs.field_grid")
+    check_grid(grid, scenario.geometry)
     prepared = build_run(scenario)
     if prepared.atlas is not None and not prepared.atlas.converged:
         print("error: conformal map did not converge", file=sys.stderr)
@@ -363,7 +331,8 @@ def _cmd_sample(args) -> int:
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "sample.csv")
-    _write_samples(path, tri, st, atlas)
+    _write_csv(path, "triangle,s,t,sx,sy,sz,mx,my,mz\n", "%d" + ",%r" * 8 + "\n", tri, st,
+               position_of(atlas.sphere_mesh, tri, st), position_of(atlas.source_mesh, tri, st))
     print(f"{args.count} samples written to {path}")
     return EXIT_OK
 
@@ -436,9 +405,6 @@ def main(argv=None) -> int:
     except TopologyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOPOLOGY
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except SurfVortError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

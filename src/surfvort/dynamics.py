@@ -10,7 +10,6 @@ self term driven by the factor's surface gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -322,27 +321,15 @@ def metric_hamiltonian(system: VortexSystem, atlas: ConformalAtlas) -> float:
     return kinetic_energy(system) - correction / (4.0 * np.pi)
 
 
-@dataclass(frozen=True)
-class EnergyDiagnostics:
-    """Per-step conserved-quantity snapshot."""
-
-    kinetic_excess: float
-    metric_hamiltonian: float | None
-    total_vorticity: float
-
-
-def energy_diagnostics(system: VortexSystem, atlas: ConformalAtlas | None = None) -> EnergyDiagnostics:
-    """Diagnostics for a system state; closed surfaces also report the metric Hamiltonian."""
+def energy_diagnostics(system: VortexSystem,
+                       atlas: ConformalAtlas | None = None) -> tuple[float, float | None]:
+    """(E, H_tilde) of a system state; H_tilde is None except on closed surfaces."""
     h_tilde = None
     if system.geometry == CLOSED_SURFACE:
         if atlas is None:
             raise ValueError("closed-surface diagnostics need the conformal atlas")
         h_tilde = metric_hamiltonian(system, atlas)
-    return EnergyDiagnostics(
-        kinetic_excess=kinetic_energy(system),
-        metric_hamiltonian=h_tilde,
-        total_vorticity=system.total_strength,
-    )
+    return kinetic_energy(system), h_tilde
 
 
 def balance_vorticity(

@@ -7,16 +7,22 @@ so the update never leaves the sphere and loses no motion to projection.
 Stage tangents are combined as ambient 3-vectors and the weighted combination
 is projected back onto the base point's tangent plane before the final
 rotation.
+
+A run's result is arrays, not per-step objects: the (k, n, 3) positions of
+steps 0..k-1, on closed surfaces their map-back onto the source surface in
+an array of the same shape, and one (step, E, H_tilde) row per diagnosed
+step, with H_tilde NaN where the geometry does not define it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import PLANE, EnergyDiagnostics, VortexSystem
+from .dynamics import PLANE, VortexSystem
 from .errors import SingularityError
 
 FloatArray = NDArray[np.float64]
@@ -36,19 +42,12 @@ class IntegratorConfig:
             raise ValueError("steps must be >= 0")
 
 
-def advect_sphere(p: FloatArray, u: FloatArray, dt: float) -> FloatArray:
-    """Rotate unit vector p along tangent u for time dt (arc length |u| dt).
-
-    u is projected onto the tangent plane at p first; |u| = 0 returns p.
-    The result is renormalized to exactly unit length.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    out = _advect_sphere_rows(p[None, :], u[None, :], dt)[0]
-    return out
-
-
 def _advect_sphere_rows(p: FloatArray, u: FloatArray, dt: float) -> FloatArray:
+    """Rotate each unit row of p along its tangent u for time dt (arc length |u| dt).
+
+    u is projected onto the tangent plane at p first; a row with no tangent
+    part stays at p. The results are renormalized to unit length.
+    """
     # p cos(theta) + (ut / |ut|) sin(theta) with theta = |ut| dt. A row at
     # rest has ut = 0 and theta = 0; dividing by 1 instead of 0 there makes
     # its tangent term exactly zero, so it comes back as p.
@@ -65,42 +64,27 @@ def _advance(positions: FloatArray, k: FloatArray, dt: float, planar: bool) -> F
     return _advect_sphere_rows(positions, k, dt)
 
 
-def rk4_step(system: VortexSystem, rhs, config: IntegratorConfig) -> VortexSystem:
-    """One RK4 step; stage points move straight on the plane, by rotation otherwise.
+def rk4_step(p: FloatArray, rhs, dt: float, planar: bool) -> FloatArray:
+    """Positions after one RK4 step; stages move straight on the plane, by rotation otherwise.
 
-    The returned system skips the constructor's pairwise re-validation:
-    rotational advection renormalizes onto the sphere and planar velocities
-    keep z = 0 exactly, while near-collisions surface through the rhs's
-    singularity guard on the next evaluation.
+    Rotational advection renormalizes onto the sphere and planar velocities
+    keep z = 0 exactly, so the step needs no re-validation; near-collisions
+    surface through the rhs's singularity guard.
     """
-    p = system.positions
-    dt = config.dt
-    planar = system.geometry == PLANE
     k1 = rhs(p)
     k2 = rhs(_advance(p, k1, 0.5 * dt, planar))
     k3 = rhs(_advance(p, k2, 0.5 * dt, planar))
     k4 = rhs(_advance(p, k3, dt, planar))
-    k = (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    new_p = _advance(p, k, dt, planar)
-    return VortexSystem(system.geometry, new_p, system.strengths, check=False)
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """System state at one step; closed surfaces carry both surface copies."""
-
-    step: int
-    time: float
-    positions: FloatArray
-    source_positions: FloatArray | None = None
-    energy: EnergyDiagnostics | None = None
+    return _advance(p, (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0, dt, planar)
 
 
 @dataclass
 class RunResult:
-    """Trajectory records plus the collision flag for aborted runs."""
+    """A run's trajectory arrays plus the collision flag for aborted runs."""
 
-    records: list[TrajectoryRecord] = field(default_factory=list)
+    records: FloatArray                    # (k, n, 3) positions at steps 0..k-1
+    source_positions: FloatArray | None    # (k, n, 3) map-back, closed surfaces only
+    diagnostics: FloatArray                # (d, 3) rows (step, E, H_tilde)
     collision_step: int | None = None
     collision_message: str = ""
 
@@ -117,55 +101,44 @@ def run(
     diagnostics=None,
     diagnostics_every: int = 1,
     map_back=None,
-    observers=(),
 ) -> RunResult:
     """Integrate `config.steps` RK4 steps, recording steps 0..steps.
 
     Parameters
     ----------
-    diagnostics : callable(VortexSystem) -> EnergyDiagnostics, optional
-        Evaluated at step 0, every `diagnostics_every`-th step and the final
-        step.
+    diagnostics : callable((n, 3) array) -> (E, H_tilde or None), optional
+        Evaluated on the positions at step 0, every `diagnostics_every`-th
+        step and the final step.
     map_back : callable((n, 3) array) -> (n, 3) array, optional
         Maps sphere positions back to the source surface for the record
         (closed surfaces only).
-    observers : iterable of callable(TrajectoryRecord)
-        Invoked for every record as it is produced.
 
-    A singularity raised by `rhs` aborts the run; the partial trajectory is
-    returned with the collision step flagged rather than raised.
+    A singularity raised by `rhs` aborts the run; the steps recorded so far
+    are returned with the collision step flagged rather than raised.
     """
     if diagnostics_every < 1:
         raise ValueError("diagnostics_every must be >= 1")
 
-    total_strength0 = system.total_strength
-    result = RunResult()
+    planar = system.geometry == PLANE
+    p = system.positions
+    records = np.empty((config.steps + 1,) + p.shape)
+    source = None if map_back is None else np.empty_like(records)
+    rows = []
+    collision_step, message = None, ""
+    for step in range(config.steps + 1):
+        if step:
+            try:
+                p = rk4_step(p, rhs, config.dt, planar)
+            except SingularityError as exc:
+                collision_step, message = step, str(exc)
+                break
+        records[step] = p
+        if source is not None:
+            source[step] = map_back(p)
+        if diagnostics is not None and (step % diagnostics_every == 0 or step == config.steps):
+            energy, h_tilde = diagnostics(p)
+            rows.append((step, energy, math.nan if h_tilde is None else h_tilde))
 
-    def record(step: int, sys_now: VortexSystem) -> None:
-        # strengths are immutable by construction; assert the conserved sum anyway
-        assert sys_now.total_strength == total_strength0
-        want_diag = diagnostics is not None and (
-            step % diagnostics_every == 0 or step == config.steps
-        )
-        rec = TrajectoryRecord(
-            step=step,
-            time=step * config.dt,
-            positions=sys_now.positions,
-            source_positions=None if map_back is None else map_back(sys_now.positions),
-            energy=diagnostics(sys_now) if want_diag else None,
-        )
-        result.records.append(rec)
-        for obs in observers:
-            obs(rec)
-
-    record(0, system)
-    current = system
-    for step in range(1, config.steps + 1):
-        try:
-            current = rk4_step(current, rhs, config)
-        except SingularityError as exc:
-            result.collision_step = step
-            result.collision_message = str(exc)
-            break
-        record(step, current)
-    return result
+    kept = config.steps + 1 if collision_step is None else collision_step
+    return RunResult(records[:kept], None if source is None else source[:kept],
+                     np.array(rows, dtype=np.float64).reshape(-1, 3), collision_step, message)

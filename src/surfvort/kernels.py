@@ -23,20 +23,6 @@ EPS_SEPARATION = 1e-9
 PLANE_NORMAL = np.array([0.0, 0.0, 1.0])
 
 
-def plane_point(x: float, y: float) -> FloatArray:
-    """Embed 2D plane coordinates as (x, y, 0)."""
-    return np.array([float(x), float(y), 0.0])
-
-
-def sphere_point(p) -> FloatArray:
-    """Renormalize `p` onto the unit sphere; |p| must already be 1 within 1e-9."""
-    p = np.asarray(p, dtype=np.float64)
-    n = np.linalg.norm(p, axis=-1)
-    if np.any(np.abs(n - 1.0) > 1e-9):
-        raise ValueError("sphere point is not a unit vector (|p| deviates by > 1e-9)")
-    return p / n[..., None] if p.ndim > 1 else p / n
-
-
 def sphere_distance(x, y) -> FloatArray | float:
     """Great-circle distance arccos(x . y), dot clamped to [-1, 1]."""
     x = np.asarray(x, dtype=np.float64)

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DegenerateTriangleError, MeshFormatError
-from .numerics import readonly
+from .numerics import readonly, write_rows
 
 FloatArray = NDArray[np.float64]
 IntArray = NDArray[np.int64]
@@ -166,10 +166,6 @@ def face_normals(mesh: TriangleMesh) -> FloatArray:
     return n / norms[:, None]
 
 
-def total_area(mesh: TriangleMesh) -> float:
-    return float(face_areas(mesh).sum())
-
-
 # ---------------------------------------------------------------------------
 # Wavefront OBJ I/O (ASCII `v`/`f` records; normals and textures are ignored)
 # ---------------------------------------------------------------------------
@@ -224,7 +220,5 @@ def load_obj(path: str | os.PathLike) -> TriangleMesh:
 def save_obj(mesh: TriangleMesh, path: str | os.PathLike) -> None:
     """Write `v` lines then `f` lines, 1-based indices, LF endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for x, y, z in mesh.vertices:
-            fh.write(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"f {i + 1} {j + 1} {k + 1}\n")
+        write_rows(fh, "v %r %r %r\n", mesh.vertices)
+        write_rows(fh, "f %d %d %d\n", mesh.triangles + 1)

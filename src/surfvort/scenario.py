@@ -34,6 +34,15 @@ from .transport import clamp_bary, position_of, sample_points
 
 GEOMETRY_NAMES = {"plane": PLANE, "sphere": SPHERE, "mesh": CLOSED_SURFACE}
 
+# Required keys of each field grid kind, with the type each converts to.
+GRID_KEYS = {
+    "plane_grid": {"xmin": float, "xmax": float, "nx": int,
+                   "ymin": float, "ymax": float, "ny": int},
+    "ring": {"radius": float, "count": int},
+    "sphere_grid": {"n_polar": int, "n_azimuth": int},
+    "surface_samples": {"count": int},
+}
+
 
 @dataclass(frozen=True)
 class ConformalParams:
@@ -80,6 +89,33 @@ def _require(cond: bool, message: str) -> None:
         raise ScenarioError(message)
 
 
+def _number(value, what: str, kind=float):
+    """`kind(value)` for a number read from a scenario; one that will not convert raises."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"{what} must be a number, got {value!r}") from None
+
+
+def check_grid(grid, geometry: str) -> None:
+    """Check a field grid's kind, its required keys and their numbers; raises ScenarioError."""
+    _require(isinstance(grid, dict), "field grid must be a JSON object")
+    kind = grid.get("kind")
+    _require(kind in GRID_KEYS, f"unknown field grid kind {kind!r}")
+    for key, conv in GRID_KEYS[kind].items():
+        _require(key in grid, f"{kind} field grid needs {key!r}")
+        value = _number(grid[key], f"field grid {key}", conv)
+        _require(conv is float or value >= 0, f"field grid {key} must be >= 0")
+    if kind == "ring":
+        center = grid.get("center", [0.0, 0.0])
+        _require(isinstance(center, list) and len(center) == 2, "ring center must be [x, y]")
+        for v in center:
+            _number(v, "ring center")
+    if kind == "surface_samples":
+        _number(grid.get("seed", 0), "field grid seed", int)
+        _require(geometry == CLOSED_SURFACE, "surface_samples field grids need a mesh geometry")
+
+
 def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Scenario:
     """Validate a raw scenario dict; raises :class:`ScenarioError` on problems."""
     _require(isinstance(obj, dict), "scenario must be a JSON object")
@@ -100,7 +136,8 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
     _require(isinstance(vortices, list), "vortices must be a list")
     for v in vortices:
         _require(isinstance(v, dict) and "strength" in v, "each vortex needs a strength")
-        _require(np.isfinite(float(v["strength"])), "vortex strength must be finite")
+        _require(np.isfinite(_number(v["strength"], "vortex strength")),
+                 "vortex strength must be finite")
 
     raw_samplers = obj.get("samplers", [])
     if "sampler" in obj:
@@ -108,11 +145,12 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
     samplers = []
     for s in raw_samplers:
         _require(isinstance(s, dict) and "count" in s, "sampler needs a count")
-        _require(int(s["count"]) >= 0, "sampler count must be >= 0")
+        count = _number(s["count"], "sampler count", int)
+        _require(count >= 0, "sampler count must be >= 0")
         samplers.append(
             SamplerSpec(
-                count=int(s["count"]),
-                seed=int(s.get("seed", 0)),
+                count=count,
+                seed=_number(s.get("seed", 0), "sampler seed", int),
                 strength=s.get("strength", {"law": "constant", "value": 1.0}),
                 region=s.get("region"),
             )
@@ -136,22 +174,22 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
     _require(scheme == "rk4", f"unsupported scheme {scheme!r} (only rk4)")
     try:
         integrator = IntegratorConfig(
-            dt=float(integ["dt"]),
-            steps=int(integ["steps"]),
+            dt=_number(integ["dt"], "integrator dt"),
+            steps=_number(integ["steps"], "integrator steps", int),
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
     conf = obj.get("conformal", {})
     conformal = ConformalParams(
-        delta=float(conf.get("delta", 0.1)),
-        tol=float(conf.get("tol", 1e-3)),
-        max_iters=int(conf.get("max_iters", 200)),
+        delta=_number(conf.get("delta", 0.1), "conformal delta"),
+        tol=_number(conf.get("tol", 1e-3), "conformal tol"),
+        max_iters=_number(conf.get("max_iters", 200), "conformal max_iters", int),
     )
     _require(conformal.delta > 0 and conformal.tol > 0 and conformal.max_iters > 0,
              "conformal parameters must be positive")
 
-    sign = int(obj.get("self_term_sign", DEFAULT_SELF_TERM_SIGN))
+    sign = _number(obj.get("self_term_sign", DEFAULT_SELF_TERM_SIGN), "self_term_sign", int)
     _require(sign in (-1, 1), "self_term_sign must be +1 or -1")
 
     out = obj.get("outputs", {})
@@ -162,7 +200,9 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
         factors=bool(out.get("factors", False)),
         field_grid=out.get("field_grid"),
     )
-    diagnostics_every = int(obj.get("diagnostics_every", 1))
+    if outputs.field_grid is not None:
+        check_grid(outputs.field_grid, geometry)
+    diagnostics_every = _number(obj.get("diagnostics_every", 1), "diagnostics_every", int)
     _require(diagnostics_every >= 1, "diagnostics_every must be >= 1")
 
     return Scenario(
@@ -210,9 +250,10 @@ class PreparedRun:
 def _strength_values(spec: dict, count: int, rng: np.random.Generator) -> np.ndarray:
     law = spec.get("law", "constant")
     if law == "constant":
-        return np.full(count, float(spec.get("value", 1.0)))
+        return np.full(count, _number(spec.get("value", 1.0), "strength value"))
     if law == "uniform":
-        return rng.uniform(float(spec.get("low", -1.0)), float(spec.get("high", 1.0)), count)
+        low = _number(spec.get("low", -1.0), "strength low")
+        return rng.uniform(low, _number(spec.get("high", 1.0), "strength high"), count)
     raise ScenarioError(f"unknown strength law {law!r}")
 
 

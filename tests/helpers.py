@@ -11,7 +11,14 @@ import math
 
 import numpy as np
 
-from surfvort import TriangleMesh, VortexSystem, green_plane, green_sphere, kinetic_energy
+from surfvort import (
+    TriangleMesh,
+    VortexSystem,
+    energy_diagnostics,
+    green_plane,
+    green_sphere,
+    kinetic_energy,
+)
 from surfvort.dynamics import PLANE, SPHERE
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -72,6 +79,14 @@ def fd_energy_velocity(system: VortexSystem, k: int, h: float = 1e-6) -> np.ndar
         return np.cross(EZ, grad) / w[k]
     grad = fd_gradient_sphere(energy_at, pos[k], h)
     return -np.cross(pos[k], grad) / w[k]
+
+
+def diagnostics_of(system: VortexSystem, atlas=None):
+    """`run`'s diagnostics callable: (E, H_tilde) of `system`'s vortices at positions p."""
+    def diagnostics(p):
+        return energy_diagnostics(
+            VortexSystem(system.geometry, p, system.strengths, check=False), atlas)
+    return diagnostics
 
 
 def random_plane_system(rng: np.random.Generator, n: int, min_dist: float = 0.35,

@@ -17,7 +17,6 @@ from surfvort import (
     TriangleMesh,
     VortexSystem,
     build_atlas,
-    energy_diagnostics,
     green_plane,
     green_sphere,
     kinetic_energy,
@@ -45,6 +44,7 @@ from surfvort.shapes import icosphere
 from surfvort.transport import sample_points
 
 from helpers import (
+    diagnostics_of,
     fd_energy_velocity,
     fd_gradient_plane,
     fd_gradient_sphere,
@@ -65,8 +65,7 @@ def test_c01_planar_kimura_pair():
     system = VortexSystem(PLANE, [[1, 0, 0], [-1, 0, 0]], [-1.0, 1.0])
     u = planar_vortex_velocities(system)
     vel_err = np.abs(u - np.array([[0, 1 / FOUR_PI, 0]] * 2)).max()
-    result = run(system, make_rhs(system), IntegratorConfig(dt=0.01, steps=1000))
-    pos = np.stack([r.positions for r in result.records])
+    pos = run(system, make_rhs(system), IntegratorConfig(dt=0.01, steps=1000)).records
     lateral = np.abs(pos[:, :, 0] - np.array([1.0, -1.0])).max()
     sep_drift = np.abs(np.linalg.norm(pos[:, 0] - pos[:, 1], axis=1) - 2.0).max()
     elapsed = time.perf_counter() - t0
@@ -92,9 +91,7 @@ def test_c02_spherical_geodesic_pair():
     u = sphere_vortex_velocities(system)
     cross_dir = np.cross(p2, p1)
     vel_alignment = np.linalg.norm(np.cross(u[0], cross_dir)) / np.linalg.norm(u[0])
-    result = run(system, make_rhs(system),
-                 IntegratorConfig(dt=5e-3, steps=1000))
-    pos = np.stack([r.positions for r in result.records])
+    pos = run(system, make_rhs(system), IntegratorConfig(dt=5e-3, steps=1000)).records
     dots = np.sum(pos[:, 0] * pos[:, 1], axis=1)
     contact_drift = np.abs(dots - dots[0]).max()
     axes = normalize_rows(pos[:, 1] - pos[:, 0])
@@ -119,11 +116,11 @@ def test_c03_energy_conservation():
             system,
             make_rhs(system),
             IntegratorConfig(dt=1e-3, steps=10_000),
-            diagnostics=energy_diagnostics,
+            diagnostics=diagnostics_of(system),
             diagnostics_every=100,
         )
-        energies = [r.energy.kinetic_excess for r in result.records if r.energy]
-        return max(abs(e - energies[0]) for e in energies) / abs(energies[0])
+        energies = result.diagnostics[:, 1]
+        return np.abs(energies - energies[0]).max() / abs(energies[0])
 
     rng = np.random.default_rng(7)
     t0 = time.perf_counter()
@@ -179,12 +176,12 @@ def test_c05_sphere_mesh_pipeline_equivalence(icosphere_atlas):
     rhs = make_rhs(surf, atlas=atlas)
     pipeline = run(surf, rhs, cfg, map_back=rhs.to_source)
     direct = run(sphere, make_rhs(sphere), cfg)
-    end_a = pipeline.records[-1].positions
-    end_b = direct.records[-1].positions
+    end_a = pipeline.records[-1]
+    end_b = direct.records[-1]
     deviation = np.arctan2(
         np.linalg.norm(np.cross(end_a, end_b), axis=1), np.sum(end_a * end_b, axis=1)
     ).max()
-    mapped = pipeline.records[-1].source_positions
+    mapped = pipeline.source_positions[-1]
     on_mesh = np.abs(np.linalg.norm(mapped, axis=1) - 1.0).max() < 0.01
     elapsed = time.perf_counter() - t0
     report(
@@ -209,10 +206,10 @@ def test_c06_self_term_sign_resolution(ellipsoid_atlas):
     for sign in (+1, -1):
         rhs = make_rhs(system, atlas=atlas, self_term_sign=sign)
         result = run(system, rhs, cfg,
-                     diagnostics=lambda s: energy_diagnostics(s, atlas),
+                     diagnostics=diagnostics_of(system, atlas),
                      diagnostics_every=20)
-        values = [r.energy.metric_hamiltonian for r in result.records if r.energy]
-        drifts[sign] = max(abs(v - values[0]) for v in values)
+        values = result.diagnostics[:, 2]
+        drifts[sign] = np.abs(values - values[0]).max()
     winner = min(drifts, key=drifts.get)
     ratio = drifts[-winner] / drifts[winner]
     report(
@@ -322,7 +319,7 @@ def test_c11_rk4_order():
 
     def endpoint(dt, horizon=1.0):
         cfg = IntegratorConfig(dt=dt, steps=round(horizon / dt))
-        return run(system, rhs, cfg).records[-1].positions
+        return run(system, rhs, cfg).records[-1]
 
     reference = endpoint(0.02 / 100)
     e1 = np.linalg.norm(endpoint(0.02) - reference)

@@ -402,11 +402,10 @@ class TestMetricHamiltonian:
         atlas = ConformalAtlas.identity(icosphere(2))
         pos = random_sphere_system(rng, 2).positions
         surf = VortexSystem(CLOSED_SURFACE, pos, [1.0, -1.0])
-        diag = energy_diagnostics(surf, atlas)
-        assert diag.metric_hamiltonian is not None
-        assert diag.total_vorticity == 0.0
-        plain = energy_diagnostics(random_plane_system(rng, 3))
-        assert plain.metric_hamiltonian is None
+        assert energy_diagnostics(surf, atlas) == (kinetic_energy(surf),
+                                                   metric_hamiltonian(surf, atlas))
+        plain = random_plane_system(rng, 3)
+        assert energy_diagnostics(plain) == (kinetic_energy(plain), None)
 
 
 class TestBalance:
@@ -437,6 +436,10 @@ class TestVortexSystem:
     def test_plane_needs_zero_z(self):
         with pytest.raises(ValueError):
             VortexSystem(PLANE, [[0, 0, 0.5]], [1.0])
+
+    def test_sphere_rejects_non_unit(self):
+        with pytest.raises(ValueError):
+            VortexSystem(SPHERE, [[1.0, 1.0, 0.0]], [1.0])
 
     def test_sphere_renormalizes(self):
         system = VortexSystem(SPHERE, [[0, 0, 1.0 + 5e-10]], [1.0])

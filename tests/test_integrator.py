@@ -7,8 +7,6 @@ from surfvort import (
     IntegratorConfig,
     SingularityError,
     VortexSystem,
-    advect_sphere,
-    energy_diagnostics,
     rk4_step,
     run,
 )
@@ -16,7 +14,11 @@ from surfvort.dynamics import PLANE, SPHERE, make_rhs
 from surfvort.integrator import _advect_sphere_rows
 from surfvort.numerics import normalize_rows
 
-from helpers import random_plane_system, random_sphere_system
+from helpers import diagnostics_of, random_plane_system, random_sphere_system
+
+
+def advect_row(p, u, dt):
+    return _advect_sphere_rows(p[None, :], u[None, :], dt)[0]
 
 
 class TestConfig:
@@ -30,19 +32,19 @@ class TestConfig:
 class TestAdvectSphere:
     def test_zero_velocity(self):
         p = np.array([0.0, 0.0, 1.0])
-        np.testing.assert_array_equal(advect_sphere(p, np.zeros(3), 0.5), p)
+        np.testing.assert_array_equal(advect_row(p, np.zeros(3), 0.5), p)
 
     def test_quarter_turn(self):
         p = np.array([1.0, 0.0, 0.0])
         u = np.array([0.0, math.pi / 2, 0.0])
-        np.testing.assert_allclose(advect_sphere(p, u, 1.0), [0.0, 1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(advect_row(p, u, 1.0), [0.0, 1.0, 0.0], atol=1e-15)
 
     def test_unit_norm_preserved(self, rng):
         for _ in range(200):
             p = normalize_rows(rng.normal(size=3))
             u = rng.normal(size=3)
             u -= (u @ p) * p
-            q = advect_sphere(p, u, rng.uniform(-2, 2))
+            q = advect_row(p, u, rng.uniform(-2, 2))
             assert abs(np.linalg.norm(q) - 1.0) < 1e-15
 
     def test_arc_length_equals_speed_times_dt(self, rng):
@@ -50,7 +52,7 @@ class TestAdvectSphere:
         u = rng.normal(size=3)
         u -= (u @ p) * p
         dt = 0.37
-        q = advect_sphere(p, u, dt)
+        q = advect_row(p, u, dt)
         travelled = math.acos(np.clip(p @ q, -1, 1))
         assert travelled == pytest.approx(np.linalg.norm(u) * dt, rel=1e-12)
 
@@ -76,19 +78,18 @@ class TestAdvectSphere:
 class TestRk4Step:
     def test_zero_strength_system_is_static(self):
         system = VortexSystem(PLANE, [[0, 0, 0], [1, 0, 0]], [0.0, 0.0])
-        cfg = IntegratorConfig(dt=0.1, steps=1)
-        stepped = rk4_step(system, make_rhs(system), cfg)
-        np.testing.assert_array_equal(stepped.positions, system.positions)
+        stepped = rk4_step(system.positions, make_rhs(system), 0.1, planar=True)
+        np.testing.assert_array_equal(stepped, system.positions)
 
     def test_planar_pair_travels_straight(self):
         system = VortexSystem(PLANE, [[1, 0, 0], [-1, 0, 0]], [-1.0, 1.0])
         cfg = IntegratorConfig(dt=0.01, steps=1000)
         result = run(system, make_rhs(system), cfg)
-        end = result.records[-1].positions
+        end = result.records[-1]
         expected_y = 1000 * 0.01 / (4 * math.pi)
         np.testing.assert_allclose(end[:, 1], expected_y, atol=1e-12)
-        seps = [np.linalg.norm(r.positions[0] - r.positions[1]) for r in result.records]
-        assert max(abs(s - 2.0) for s in seps) < 1e-9
+        seps = np.linalg.norm(result.records[:, 0] - result.records[:, 1], axis=1)
+        assert np.abs(seps - 2.0).max() < 1e-9
 
     def test_sphere_pair_keeps_contact_angle(self):
         s = 0.05
@@ -97,22 +98,23 @@ class TestRk4Step:
         system = VortexSystem(SPHERE, [p1, p2], [-1.0, 1.0])
         cfg = IntegratorConfig(dt=0.002, steps=1000)
         result = run(system, make_rhs(system), cfg)
-        dots = [float(r.positions[0] @ r.positions[1]) for r in result.records]
-        assert max(abs(d - dots[0]) for d in dots) < 1e-9
+        dots = np.sum(result.records[:, 0] * result.records[:, 1], axis=1)
+        assert np.abs(dots - dots[0]).max() < 1e-9
 
 
 class TestRun:
     def test_zero_steps_returns_initial_state(self, rng):
         system = random_plane_system(rng, 3)
         result = run(system, make_rhs(system), IntegratorConfig(dt=0.1, steps=0))
-        assert len(result.records) == 1
-        np.testing.assert_array_equal(result.records[0].positions, system.positions)
+        assert result.records.shape == (1, 3, 3)
+        np.testing.assert_array_equal(result.records[0], system.positions)
 
     def test_record_count(self, rng):
         system = random_plane_system(rng, 3)
         result = run(system, make_rhs(system), IntegratorConfig(dt=0.01, steps=17))
-        assert [r.step for r in result.records] == list(range(18))
-        assert result.records[-1].time == pytest.approx(0.17)
+        assert result.records.shape == (18, 3, 3)
+        assert result.source_positions is None
+        assert result.diagnostics.shape == (0, 3)
 
     def test_energy_drift_planar_three_vortex(self):
         system = VortexSystem(
@@ -122,11 +124,11 @@ class TestRun:
             system,
             make_rhs(system),
             IntegratorConfig(dt=1e-3, steps=10_000),
-            diagnostics=energy_diagnostics,
+            diagnostics=diagnostics_of(system),
             diagnostics_every=200,
         )
-        energies = [r.energy.kinetic_excess for r in result.records if r.energy]
-        drift = max(abs(e - energies[0]) for e in energies) / abs(energies[0])
+        energies = result.diagnostics[:, 1]
+        drift = np.abs(energies - energies[0]).max() / abs(energies[0])
         assert drift < 1e-6
 
     def test_diagnostics_decimation(self, rng):
@@ -135,11 +137,11 @@ class TestRun:
             system,
             make_rhs(system),
             IntegratorConfig(dt=0.01, steps=10),
-            diagnostics=energy_diagnostics,
+            diagnostics=diagnostics_of(system),
             diagnostics_every=4,
         )
-        with_diag = [r.step for r in result.records if r.energy is not None]
-        assert with_diag == [0, 4, 8, 10]  # final step always included
+        assert result.diagnostics[:, 0].tolist() == [0, 4, 8, 10]  # final step always included
+        assert np.isnan(result.diagnostics[:, 2]).all()  # no H_tilde on the plane
 
     def test_collision_reported_not_raised(self, rng):
         system = random_plane_system(rng, 3)
@@ -152,11 +154,15 @@ class TestRun:
                 raise SingularityError("vortices 0 and 1 collided")
             return rhs(p)
 
-        result = run(system, failing_rhs, IntegratorConfig(dt=0.01, steps=10))
+        result = run(system, failing_rhs, IntegratorConfig(dt=0.01, steps=10),
+                     diagnostics=diagnostics_of(system), diagnostics_every=2)
         assert not result.completed
         assert result.collision_step == 3  # 4 rhs calls per RK4 step
         assert "collided" in result.collision_message
         assert len(result.records) == 3  # steps 0..2 survived
+        assert result.diagnostics[:, 0].tolist() == [0, 2]
+        full = run(system, rhs, IntegratorConfig(dt=0.01, steps=2))
+        np.testing.assert_array_equal(result.records, full.records)
 
     def test_near_coincident_positions_raise_in_rhs(self, rng):
         system = random_plane_system(rng, 2)
@@ -165,22 +171,13 @@ class TestRun:
         with pytest.raises(SingularityError):
             rhs(squeezed)
 
-    def test_observers_see_every_record(self, rng):
-        system = random_plane_system(rng, 2)
-        seen = []
-        run(system, make_rhs(system), IntegratorConfig(dt=0.01, steps=5),
-            observers=(lambda rec: seen.append(rec.step),))
-        assert seen == [0, 1, 2, 3, 4, 5]
-
 
 class TestInvariants:
     def test_sphere_norm_never_drifts(self, rng):
         system = random_sphere_system(rng, 4)
         result = run(system, make_rhs(system),
                      IntegratorConfig(dt=0.01, steps=500))
-        worst = max(
-            abs(np.linalg.norm(r.positions, axis=1) - 1.0).max() for r in result.records
-        )
+        worst = np.abs(np.linalg.norm(result.records, axis=2) - 1.0).max()
         assert worst < 1e-12
 
     def test_time_reversal(self, rng):
@@ -190,21 +187,24 @@ class TestInvariants:
             system = make(rng, 3)
             cfg = IntegratorConfig(dt=1e-3, steps=50)
             fw = run(system, make_rhs(system), cfg)
-            back_sys = VortexSystem(system.geometry, fw.records[-1].positions,
-                                    -system.strengths)
+            back_sys = VortexSystem(system.geometry, fw.records[-1], -system.strengths)
             bw = run(back_sys, make_rhs(back_sys), cfg)
-            assert np.abs(bw.records[-1].positions - system.positions).max() < 1e-8
+            assert np.abs(bw.records[-1] - system.positions).max() < 1e-8
 
     def test_planar_momentum_invariant(self, rng):
         system = random_plane_system(rng, 4)
         result = run(system, make_rhs(system), IntegratorConfig(dt=1e-3, steps=2000))
         w = system.strengths[:, None]
-        momenta = np.stack([(r.positions * w).sum(axis=0) for r in result.records])
+        momenta = (result.records * w).sum(axis=1)
         assert np.abs(momenta - momenta[0]).max() < 1e-9
 
     def test_strength_sum_constant_across_records(self, rng):
+        # the strengths are read-only, so no step can change their sum
         system = random_plane_system(rng, 4)
-        result = run(system, make_rhs(system), IntegratorConfig(dt=0.01, steps=20),
-                     diagnostics=energy_diagnostics)
-        totals = {r.energy.total_vorticity for r in result.records if r.energy}
-        assert len(totals) == 1
+        total = system.total_strength
+        run(system, make_rhs(system), IntegratorConfig(dt=0.01, steps=20),
+            diagnostics=diagnostics_of(system))
+        assert not system.strengths.flags.writeable
+        with pytest.raises(ValueError):
+            system.strengths[0] = 1.0
+        assert system.total_strength == total

@@ -1,3 +1,5 @@
+import io
+import itertools
 import json
 import math
 import os
@@ -7,8 +9,9 @@ import pytest
 
 from surfvort import save_obj
 from surfvort.cli import main
-from surfvort.errors import ScenarioError
-from surfvort.integrator import RunResult, TrajectoryRecord
+from surfvort.errors import ScenarioError, SingularityError
+from surfvort.integrator import RunResult, run
+from surfvort.numerics import BLOCK_ROWS, write_rows
 from surfvort.scenario import build_run, load_scenario, parse_scenario, presets
 from surfvort.shapes import ellipsoid, icosphere
 
@@ -95,6 +98,50 @@ class TestScenarioParsing:
         assert len(prepared.system) == 12
         assert np.abs(prepared.system.strengths).max() <= 1.0
 
+    @pytest.mark.parametrize("doc", [
+        dict(PAIR_SCENARIO, vortices=[{"position": [1.0, 0.0], "strength": "abc"},
+                                      {"position": [-1.0, 0.0], "strength": 1.0}]),
+        dict(PAIR_SCENARIO, diagnostics_every="z"),
+        dict(PAIR_SCENARIO, integrator={"dt": "fast", "steps": 1}),
+        dict(PAIR_SCENARIO, integrator={"dt": 0.01, "steps": [1]}),
+        dict(PAIR_SCENARIO, conformal={"max_iters": "many"}),
+        dict(PAIR_SCENARIO, self_term_sign=None),
+    ], ids=["strength", "diagnostics_every", "dt", "steps", "max_iters", "self_term_sign"])
+    def test_unconvertible_number_is_config_error(self, tmp_path, doc, capsys):
+        with pytest.raises(ScenarioError, match="must be a number"):
+            parse_scenario(doc)
+        assert main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("grid", [
+        {"kind": "plane_grid", "xmin": -1, "nx": 3, "ymin": -1, "ymax": 1, "ny": 3},
+        {"kind": "plane_grid", "xmin": -1, "xmax": 1, "nx": -3, "ymin": -1, "ymax": 1, "ny": 3},
+        {"kind": "ring", "count": 8},
+        {"kind": "ring", "radius": "one", "count": 8},
+        {"kind": "ring", "radius": 1.0, "count": 8, "center": [0.0]},
+        {"kind": "sphere_grid", "n_polar": 4},
+        {"kind": "surface_samples", "count": 10},
+        {"kind": "hexagons"},
+        [1, 2],
+    ], ids=["no_xmax", "negative_nx", "no_radius", "radius_text", "short_center",
+            "no_n_azimuth", "samples_on_plane", "unknown_kind", "not_object"])
+    def test_bad_field_grid_fails_before_compute(self, tmp_path, grid, monkeypatch):
+        import surfvort.cli as cli_mod
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("computed before the grid was checked")
+
+        monkeypatch.setattr(cli_mod, "build_run", no_compute)
+        doc = dict(PAIR_SCENARIO, outputs={"field_grid": grid})
+        with pytest.raises(ScenarioError):
+            parse_scenario(doc)
+        out = tmp_path / "out"
+        assert main(["run", write_scenario(tmp_path, doc), "--out", str(out)]) == 1
+        assert not out.exists()
+        scn = write_scenario(tmp_path, PAIR_SCENARIO, name="plain.json")
+        assert main(["field", scn, "--grid", json.dumps(grid), "--out", str(out)]) == 1
+        assert not out.exists()
+
 
 class TestRunCommand:
     def test_planar_pair_outputs(self, tmp_path):
@@ -161,8 +208,9 @@ class TestRunCommand:
         import surfvort.cli as cli_mod
 
         def fake_integrate(system, rhs, config, **kwargs):
-            records = [TrajectoryRecord(step=0, time=0.0, positions=system.positions)]
-            return RunResult(records=records, collision_step=1, collision_message="pair collided")
+            return RunResult(records=system.positions[None], source_positions=None,
+                             diagnostics=np.zeros((1, 3)),
+                             collision_step=1, collision_message="pair collided")
 
         monkeypatch.setattr(cli_mod, "integrate", fake_integrate)
         scn = write_scenario(tmp_path, PAIR_SCENARIO)
@@ -313,3 +361,172 @@ class TestPresets:
         rows = (out / "trajectories.csv").read_text().strip().splitlines()[1:]
         xs = np.array([float(r.split(",")[3]) for r in rows])
         assert np.abs(np.abs(xs) - 1.0).max() < 1e-9
+
+
+def read_table(path):
+    """Header and rows of a CLI CSV, comment lines dropped; cells stay strings."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def floats(rows, cols):
+    return np.array([[float(r[j]) for j in cols] for r in rows]).reshape(len(rows), len(cols))
+
+
+@pytest.fixture()
+def captured(monkeypatch):
+    """Results of the CLI's integration and field evaluations, as its writers got them."""
+    import surfvort.cli as cli_mod
+
+    seen = {}
+    for name in ("integrate", "planar_field_velocity", "sphere_field_velocity",
+                 "surface_field_velocity", "stream_function"):
+        def spy(*args, _name=name, _original=getattr(cli_mod, name), **kwargs):
+            out = _original(*args, **kwargs)
+            seen[_name] = (args, out)
+            return out
+
+        monkeypatch.setattr(cli_mod, name, spy)
+    return seen
+
+
+class TestOutputRoundTrip:
+    """CSV values parsed back with float() equal the arrays behind them bit for bit."""
+
+    def run_scenario(self, tmp_path, doc, expect=0):
+        out = tmp_path / "out"
+        assert main(["run", write_scenario(tmp_path, doc), "--out", str(out)]) == expect
+        return out
+
+    def check_trajectories(self, out, result, dt, geometry):
+        header, rows = read_table(out / "trajectories.csv")
+        assert header == ["step", "time", "id", "mx", "my", "mz", "sx", "sy", "sz"]
+        k, n, _ = result.records.shape
+        steps = np.repeat(np.arange(k), n)
+        assert np.array_equal([int(r[0]) for r in rows], steps)
+        assert np.array_equal(floats(rows, [1])[:, 0], steps * dt)
+        assert np.array_equal([int(r[2]) for r in rows], np.tile(np.arange(n), k))
+        m, s = floats(rows, [3, 4, 5]), result.records.reshape(-1, 3)
+        if geometry == "closed_surface":
+            assert np.array_equal(m, result.source_positions.reshape(-1, 3))
+            assert not np.array_equal(m, s)
+        else:
+            assert np.array_equal(m, s)
+        if geometry == "plane":
+            assert all(r[6:] == ["", "", ""] for r in rows)
+        else:
+            assert np.array_equal(floats(rows, [6, 7, 8]), s)
+
+    def check_energy(self, out, result, dt, total, geometry):
+        header, rows = read_table(out / "energy.csv")
+        assert header == ["step", "time", "E", "H_tilde", "total_vorticity"]
+        diag = result.diagnostics
+        assert np.array_equal([int(r[0]) for r in rows], diag[:, 0])
+        assert np.array_equal(floats(rows, [1, 2]), np.column_stack([diag[:, 0] * dt, diag[:, 1]]))
+        if geometry == "closed_surface":
+            assert np.array_equal(floats(rows, [3])[:, 0], diag[:, 2])
+        else:
+            assert all(r[3] == "" for r in rows)
+        assert np.array_equal(floats(rows, [4])[:, 0], np.full(len(rows), total))
+
+    def check_field(self, out, captured, velocity):
+        (pts, *_), vel = captured[velocity]
+        columns = [pts, vel]
+        if "stream_function" in captured:
+            columns.append(captured["stream_function"][1])
+        _, rows = read_table(out / "field.csv")
+        assert np.array_equal(floats(rows, range(len(rows[0]))), np.column_stack(columns))
+
+    def test_write_rows_matches_per_value_repr(self):
+        # the reference is the per-value loop the writers used before block conversion
+        rng = np.random.default_rng(8)
+        ints = rng.integers(0, 2**40, BLOCK_ROWS * 2 + 5)
+        values = rng.normal(size=(len(ints), 3)) * 10.0 ** rng.integers(-300, 300, (len(ints), 3))
+        values[:4, 0] = [math.nan, math.inf, -0.0, 5e-324]
+        fh = io.StringIO()
+        write_rows(fh, "%d,%r,%r,,%r\n", ints, values)
+        expected = "".join(f"{i}," + ",".join(repr(float(v)) for v in row[:2]) + f",,{row[2]!r}\n"
+                           for i, row in zip(ints.tolist(), values.tolist()))
+        assert fh.getvalue() == expected
+
+    def test_plane(self, tmp_path, captured):
+        doc = {
+            "geometry": "plane",
+            "vortices": [
+                {"position": [0.0, 0.5], "strength": 1.0},
+                {"position": [0.0, -0.5], "strength": -1.0},
+                {"position": [-1.0, 0.5], "strength": 0.7},
+            ],
+            "integrator": {"dt": 0.013, "steps": 30},
+            "diagnostics_every": 7,
+            "outputs": {"field_grid": {"kind": "plane_grid", "xmin": -2, "xmax": 2, "nx": 9,
+                                       "ymin": -1.5, "ymax": 1.5, "ny": 7}},
+        }
+        out = self.run_scenario(tmp_path, doc)
+        result = captured["integrate"][1]
+        assert result.diagnostics[:, 0].tolist() == [0, 7, 14, 21, 28, 30]
+        self.check_trajectories(out, result, 0.013, "plane")
+        self.check_energy(out, result, 0.013, 0.7, "plane")
+        self.check_field(out, captured, "planar_field_velocity")
+
+    def test_sphere(self, tmp_path, captured):
+        doc = {
+            "geometry": "sphere",
+            "sampler": {"count": 6, "seed": 5,
+                        "strength": {"law": "uniform", "low": -1, "high": 1}},
+            "integrator": {"dt": 0.01, "steps": 25},
+            "diagnostics_every": 5,
+            "outputs": {"field_grid": {"kind": "sphere_grid", "n_polar": 5, "n_azimuth": 8}},
+        }
+        out = self.run_scenario(tmp_path, doc)
+        result = captured["integrate"][1]
+        total = json.loads((out / "manifest.json").read_text())["total_vorticity"]
+        self.check_trajectories(out, result, 0.01, "sphere")
+        self.check_energy(out, result, 0.01, total, "sphere")
+        self.check_field(out, captured, "sphere_field_velocity")
+
+    def test_closed_surface(self, tmp_path, captured):
+        save_obj(ellipsoid(1.0, 1.0, 1.3, subdivisions=2), tmp_path / "ell.obj")
+        doc = {
+            "geometry": {"mesh": "ell.obj"},
+            "vortices": [
+                {"nearest": [0.3, 0.0, 1.2], "strength": 1.0},
+                {"nearest": [-0.3, 0.0, 1.2], "strength": -1.0},
+            ],
+            "integrator": {"dt": 0.01, "steps": 12},
+            "conformal": {"tol": 2e-2},
+            "diagnostics_every": 5,
+            "outputs": {"field_grid": {"kind": "surface_samples", "count": 40, "seed": 1}},
+        }
+        out = self.run_scenario(tmp_path, doc)
+        result = captured["integrate"][1]
+        assert result.source_positions.shape == result.records.shape
+        self.check_trajectories(out, result, 0.01, "closed_surface")
+        self.check_energy(out, result, 0.01, 0.0, "closed_surface")
+        self.check_field(out, captured, "surface_field_velocity")
+
+    def test_collided_run_keeps_partial_trajectory(self, tmp_path, monkeypatch):
+        import surfvort.cli as cli_mod
+
+        seen = {}
+
+        def collide_in_step_5(system, rhs, config, **kwargs):
+            calls = itertools.count()
+
+            def failing_rhs(p):
+                if next(calls) >= 16:  # 4 evaluations a step: steps 1..4 complete
+                    raise SingularityError("vortices 0 and 1 collided")
+                return rhs(p)
+
+            seen["result"] = run(system, failing_rhs, config, **kwargs)
+            return seen["result"]
+
+        monkeypatch.setattr(cli_mod, "integrate", collide_in_step_5)
+        doc = dict(PAIR_SCENARIO, diagnostics_every=3)
+        out = self.run_scenario(tmp_path, doc, expect=4)
+        result = seen["result"]
+        assert result.collision_step == 5 and len(result.records) == 5
+        assert result.diagnostics[:, 0].tolist() == [0, 3]
+        self.check_trajectories(out, result, 0.01, "plane")
+        self.check_energy(out, result, 0.01, 0.0, "plane")
+        assert json.loads((out / "manifest.json").read_text())["collision"]["step"] == 5
