@@ -26,6 +26,7 @@ from .dynamics import (
     SPHERE,
     VortexSystem,
     energy_diagnostics,
+    nearest_vortex_distance,
     planar_field_velocity,
     sphere_field_velocity,
     stream_function,
@@ -135,12 +136,7 @@ def _write_field(path: str, prepared, grid: dict) -> None:
     system = prepared.system
     pts, locations = _grid_points(grid, prepared)
     # skip (and flag) points inside the singularity guard of any vortex
-    if system.geometry == PLANE:
-        dist = np.linalg.norm(pts[:, None, :] - system.positions[None, :, :], axis=2).min(axis=1)
-    else:
-        dots = np.clip(pts @ system.positions.T, -1.0, 1.0)
-        dist = np.arccos(dots).min(axis=1)
-    keep = dist >= EPS_SEPARATION
+    keep = nearest_vortex_distance(pts, system) >= EPS_SEPARATION
     skipped = int(np.count_nonzero(~keep))
     pts = pts[keep]
     if locations is not None:

@@ -5,6 +5,20 @@ assumption); passive field velocities sum over all vortices. The closed-surface
 case evaluates modified spherical dynamics on the conformal sphere image: the
 spherical pair interaction rescaled by the interpolated conformal factor plus a
 self term driven by the factor's surface gradient.
+
+Every pass over target-source pairs (velocity and field sums, stream function,
+energy, separation and field-distance guards) runs over blocks of target rows
+of at most ``PAIR_BLOCK_PAIRS`` pairs each, through one loop, ``_row_blocks``,
+so its temporaries are (rows, n) rather than (m, n). A block computes its rows
+with the same operations as a whole-matrix pass and sums along the same
+contiguous source axis, so velocities, stream function and guard distances
+are bit-identical at any block size. For that, the sphere dot products stay
+one matrix product over all targets, the only (m, n) array left: a BLAS
+product over some rows need not give the same bits as those rows of a whole
+product. The energy is not bit-identical across block sizes: it is the exact
+sum of per-block partials, each the exact sum of the block's own pairs plus a
+plain sum of its pairs with later vortices. With one block that is the
+exactly rounded pair sum; with more it may differ from it in the last bits.
 """
 
 from __future__ import annotations
@@ -33,6 +47,43 @@ BALANCE_RTOL = 1e-12
 # Self-term sign adopted from the conserved-Hamiltonian experiment
 # (tests/test_acceptance.py re-runs it; both signs stay selectable).
 DEFAULT_SELF_TERM_SIGN = +1
+
+# Pairs per block of a pair pass: a block's (rows, n) float64 temporaries are
+# 1 MB each, 128 rows at n = 1024, so they stay in cache. Sizing blocks by
+# pairs rather than rows keeps a pass over few sources in few blocks: a field
+# of 20,000 points over 5 vortices is one block, not 157 blocks of 640 pairs.
+PAIR_BLOCK_PAIRS = 128 * 1024
+
+
+def _row_blocks(m: int, n: int):
+    """(start, stop) bounds of consecutive target-row blocks covering range(m).
+
+    A block has at most PAIR_BLOCK_PAIRS pairs with the n sources, and at
+    least one row.
+    """
+    rows = max(1, PAIR_BLOCK_PAIRS // n)
+    for start in range(0, m, rows):
+        yield start, min(start + rows, m)
+
+
+def _fill_self_pairs(block: FloatArray, start: int, value: float) -> None:
+    """Set the entries (i, start + i) of the block of target rows start, start + 1, ...
+
+    They pair each target with itself when the targets are the sources; this
+    is ``np.fill_diagonal(block[:, start:], value)`` without its overhead.
+    """
+    block.flat[start::block.shape[1] + 1] = value
+
+
+def _by_row_blocks(rows, m: int, n: int) -> FloatArray:
+    """`rows(start, stop)` of every block of m targets over n sources, stacked.
+
+    A pass of at most PAIR_BLOCK_PAIRS pairs (zero targets included) is one
+    call whose result is returned as it is, so small systems pay no stacking.
+    """
+    if m * n <= PAIR_BLOCK_PAIRS:
+        return rows(0, m)
+    return np.concatenate([rows(start, stop) for start, stop in _row_blocks(m, n)])
 
 
 class VortexSystem:
@@ -90,16 +141,24 @@ class VortexSystem:
 
 
 def _min_separation_check(geometry: str, pos: FloatArray) -> None:
-    if pos.shape[0] < 2:
-        return
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    np.fill_diagonal(dist, np.inf)
-    if geometry != PLANE:
-        # chord -> angle; guard threshold is angular on the sphere
-        dist = 2.0 * np.arcsin(np.clip(dist / 2.0, 0.0, 1.0))
-    if dist.min() < EPS_SEPARATION:
-        i, j = np.unravel_index(int(np.argmin(dist)), dist.shape)
+    """Raise if two vortices are closer than the guard, naming the closest pair.
+
+    The pair is the first (row-major) minimum of the whole distance matrix:
+    a later block replaces the best pair only with a strictly smaller distance.
+    """
+    n = pos.shape[0]
+    closest, pair = np.inf, None
+    for start, stop in _row_blocks(n, n):
+        dist = np.linalg.norm(pos[start:stop, None, :] - pos[None, :, :], axis=2)
+        _fill_self_pairs(dist, start, np.inf)
+        if geometry != PLANE:
+            # chord -> angle; guard threshold is angular on the sphere
+            dist = 2.0 * np.arcsin(np.clip(dist / 2.0, 0.0, 1.0))
+        k = int(np.argmin(dist))
+        if dist.flat[k] < closest:
+            closest, pair = dist.flat[k], (start + k // n, k % n)
+    if closest < EPS_SEPARATION:
+        i, j = pair
         raise SingularityError(f"vortices {i} and {j} are separated by less than {EPS_SEPARATION:g}")
 
 
@@ -121,21 +180,25 @@ def _plane_pair_sum(targets: FloatArray, sources: FloatArray, strengths: FloatAr
     """sum_i w_i * (n x (x - p_i)) / |x - p_i|^2 over sources, for each target.
 
     Each component's terms are laid out (target, source) so that it is one
-    plain sum along the contiguous source axis.
+    plain sum along the contiguous source axis. With `exclude_diagonal`
+    the targets are the sources and target j skips source j.
     """
-    dx = targets[:, 0, None] - sources[None, :, 0]         # (m, n)
-    dy = targets[:, 1, None] - sources[None, :, 1]
-    r2 = dx * dx + dy * dy
-    if exclude_diagonal:
-        np.fill_diagonal(r2, np.inf)
-    if np.sqrt(r2.min()) < EPS_SEPARATION:
-        raise SingularityError("evaluation point closer than the singularity guard to a vortex")
-    # w / r^2 * (-dy, dx, 0)
-    c = strengths / r2
-    out = np.zeros((targets.shape[0], 3))
-    out[:, 0] = -(dy * c).sum(axis=1)
-    out[:, 1] = (dx * c).sum(axis=1)
-    return out
+    def rows(start, stop):
+        dx = targets[start:stop, 0, None] - sources[None, :, 0]     # (rows, n)
+        dy = targets[start:stop, 1, None] - sources[None, :, 1]
+        r2 = dx * dx + dy * dy
+        if exclude_diagonal:
+            _fill_self_pairs(r2, start, np.inf)
+        if np.sqrt(r2.min(initial=np.inf)) < EPS_SEPARATION:
+            raise SingularityError("evaluation point closer than the singularity guard to a vortex")
+        # w / r^2 * (-dy, dx, 0)
+        c = strengths / r2
+        out = np.zeros((stop - start, 3))
+        out[:, 0] = -(dy * c).sum(axis=1)
+        out[:, 1] = (dx * c).sum(axis=1)
+        return out
+
+    return _by_row_blocks(rows, targets.shape[0], sources.shape[0])
 
 
 # component rows k+1 then k+2 (mod 3), for the written-out cross product
@@ -150,24 +213,38 @@ def _sphere_pair_sum(targets: FloatArray, sources: FloatArray, strengths: FloatA
     x_{k+1} p_{k+2} - x_{k+2} p_{k+1}, and each component is one plain sum
     along the contiguous source axis. (Factoring the sum as
     x cross sum_i c_i p_i is cheaper but loses accuracy to cancellation as n
-    grows.)
+    grows.) The dot products are one product over all targets, so they do
+    not depend on the block size; the rest runs block by block.
     """
-    dots = (targets @ sources.T).clip(-1.0, 1.0)            # (m, n)
-    if exclude_diagonal:
-        np.fill_diagonal(dots, -1.0)
-    if np.arccos(dots.max()) < EPS_SEPARATION:
-        raise SingularityError("evaluation point closer than the singularity guard to a vortex")
-    t = targets.T[_CYCLIC, :, None]                         # (6, m, 1)
-    s = sources.T[_CYCLIC, None, :]                         # (6, 1, n)
-    cross = t[:3] * s[3:]
-    cross -= t[3:] * s[:3]                                  # (3, m, n)
-    cross *= strengths / (1.0 - dots)
-    return cross.sum(axis=2).T
+    dots = targets @ sources.T                                      # (m, n)
+    src = sources.T[_CYCLIC]                                        # (6, n)
+    tgt = src if targets is sources else targets.T[_CYCLIC]         # (6, m)
+    s = src[:, None, :]
+
+    def rows(start, stop):
+        d = dots[start:stop]
+        d.clip(-1.0, 1.0, out=d)
+        if exclude_diagonal:
+            _fill_self_pairs(d, start, -1.0)
+        if np.arccos(d.max(initial=-1.0)) < EPS_SEPARATION:
+            raise SingularityError("evaluation point closer than the singularity guard to a vortex")
+        t = tgt[:, start:stop, None]                                # (6, rows, 1)
+        cross = t[:3] * s[3:]
+        cross -= t[3:] * s[:3]                                      # (3, rows, n)
+        cross *= strengths / (1.0 - d)
+        return cross.sum(axis=2).T
+
+    return _by_row_blocks(rows, targets.shape[0], sources.shape[0])
 
 
 def _require_geometry(system: VortexSystem, geometry: str) -> None:
     if system.geometry != geometry:
         raise ValueError(f"expected a {geometry} system, got {system.geometry}")
+
+
+def _require_sign(self_term_sign: int) -> None:
+    if self_term_sign not in (-1, 1):
+        raise ValueError("self_term_sign must be +1 or -1")
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +309,26 @@ def surface_vortex_velocities(
     orientation (the default is fixed by the conserved-Hamiltonian experiment).
     """
     _require_geometry(system, CLOSED_SURFACE)
-    if self_term_sign not in (-1, 1):
-        raise ValueError("self_term_sign must be +1 or -1")
+    _require_sign(self_term_sign)
     _require_balanced(system.strengths)
     p = system.positions
     tri, st = atlas.locator.locate(p) if locations is None else locations
     if tri.shape != (len(system),):
         raise ValueError("need one sphere-mesh location per vortex")
-    pair = _sphere_pair_sum(p, p, system.strengths, exclude_diagonal=True)
+    return _surface_velocities(p, system.strengths, atlas, self_term_sign, tri, st)
+
+
+def _surface_velocities(p: FloatArray, strengths: FloatArray, atlas: ConformalAtlas,
+                        self_term_sign: int, tri: NDArray[np.int64], st: FloatArray) -> FloatArray:
+    """`surface_vortex_velocities` on checked inputs: positions, strengths and locations."""
+    pair = _sphere_pair_sum(p, p, strengths, exclude_diagonal=True)
     h = atlas.factor_at(tri, st)
-    grads = atlas.grad_factor_at(tri)
-    self_term = (system.strengths / h)[:, None] * np.cross(p, grads)
-    return (pair + self_term_sign * self_term) / (4.0 * np.pi * (h * h)[:, None])
+    pt = p.T[_CYCLIC]                                               # (6, n)
+    gt = atlas.grad_factor_at(tri).T[_CYCLIC]
+    cross = pt[:3] * gt[3:]
+    cross -= pt[3:] * gt[:3]                                        # (3, n): p x grad h
+    self_term = (strengths / h) * cross
+    return (pair + self_term_sign * self_term.T) / (4.0 * np.pi * (h * h)[:, None])
 
 
 def surface_field_velocity(
@@ -287,24 +372,59 @@ def stream_function(x, system: VortexSystem) -> float | FloatArray:
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-    terms = system.strengths[None, :] * green(pts[:, None, :], system.positions[None, :, :])
-    psi = terms.sum(axis=1)
+
+    def rows(start, stop):
+        terms = system.strengths[None, :] * green(pts[start:stop, None, :],
+                                                  system.positions[None, :, :])
+        return terms.sum(axis=1)
+
+    psi = _by_row_blocks(rows, pts.shape[0], len(system))
     return float(psi[0]) if single else psi
+
+
+def nearest_vortex_distance(x, system: VortexSystem) -> FloatArray:
+    """Distance from each point of x (m, 3) to its nearest vortex.
+
+    Euclidean on the plane; angular, arccos of the clamped dot product, on the
+    sphere and on a closed surface's sphere image.
+    """
+    pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if system.geometry == PLANE:
+        def rows(start, stop):
+            diff = pts[start:stop, None, :] - system.positions[None, :, :]
+            return np.linalg.norm(diff, axis=2).min(axis=1)
+    else:
+        dots = pts @ system.positions.T
+
+        def rows(start, stop):
+            return np.arccos(dots[start:stop].clip(-1.0, 1.0)).min(axis=1)
+    return _by_row_blocks(rows, pts.shape[0], len(system))
 
 
 def kinetic_energy(system: VortexSystem) -> float:
     """Excess kinetic energy E = -sum_{i<j} w_i w_j G(p_i, p_j).
 
     For closed-surface systems the sphere kernel is evaluated on the vortex
-    images (the sphere part of the metric Hamiltonian).
+    images (the sphere part of the metric Hamiltonian). Each block of rows
+    contributes the exact sum of its own pairs and the plain sum of its pairs
+    with all later vortices; E is the exact sum of these partials. A system
+    of one block therefore gets the exactly rounded pair sum.
     """
     n = len(system)
     if n < 2:
         return 0.0
     green = green_plane if system.geometry == PLANE else green_sphere
-    iu, ju = np.triu_indices(n, k=1)
-    g = np.asarray(green(system.positions[iu], system.positions[ju]))
-    return -math.fsum(system.strengths[iu] * system.strengths[ju] * g)
+    pos, w = system.positions, system.strengths
+    partials = []
+    for start, stop in _row_blocks(n, n):
+        iu, ju = np.triu_indices(stop - start, k=1)
+        iu += start
+        ju += start
+        partials.append(math.fsum(w[iu] * w[ju] * green(pos[iu], pos[ju])))
+        if stop < n:
+            g = green(pos[start:stop, None, :], pos[None, stop:, :])
+            partials.append(((w[start:stop, None] * w[None, stop:]) * g).sum())
+    return -math.fsum(partials)
 
 
 def metric_hamiltonian(system: VortexSystem, atlas: ConformalAtlas) -> float:
@@ -368,14 +488,19 @@ def balance_vorticity(
 class SurfaceVelocityEvaluator:
     """Closed-surface RHS with a per-instance triangle-walk hint cache.
 
+    The strengths' balance and the self-term sign are checked once, here,
+    rather than on every evaluation.
+
     The cache only accelerates point location (hints are re-derived if stale);
     instances must not be shared between concurrently running integrations.
     """
 
     def __init__(self, atlas: ConformalAtlas, strengths: FloatArray,
                  self_term_sign: int = DEFAULT_SELF_TERM_SIGN) -> None:
+        _require_sign(self_term_sign)
         self.atlas = atlas
         self.strengths = np.asarray(strengths, dtype=np.float64)
+        _require_balanced(self.strengths)
         self.self_term_sign = self_term_sign
         self._hints = np.zeros(self.strengths.shape[0], dtype=np.int64)
 
@@ -386,11 +511,8 @@ class SurfaceVelocityEvaluator:
         return tri, st
 
     def __call__(self, positions: FloatArray) -> FloatArray:
-        system = VortexSystem(CLOSED_SURFACE, positions, self.strengths, check=False)
-        return surface_vortex_velocities(
-            system, self.atlas, self_term_sign=self.self_term_sign,
-            locations=self.locate(positions),
-        )
+        return _surface_velocities(positions, self.strengths, self.atlas,
+                                   self.self_term_sign, *self.locate(positions))
 
     def to_source(self, positions: FloatArray) -> FloatArray:
         """Map sphere points back to the source mesh through the atlas."""

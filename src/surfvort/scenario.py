@@ -116,6 +116,57 @@ def check_grid(grid, geometry: str) -> None:
         _require(geometry == CLOSED_SURFACE, "surface_samples field grids need a mesh geometry")
 
 
+def _numbers(value, count: int, what: str) -> list[float]:
+    """`count` numbers read from a scenario list; another length or a non-number raises."""
+    _require(isinstance(value, (list, tuple)) and len(value) == count,
+             f"{what} must be a list of {count} numbers")
+    return [_number(v, what) for v in value]
+
+
+def _section(obj: dict, key: str) -> dict:
+    """The JSON object under `key`, empty when absent."""
+    section = obj.get(key, {})
+    _require(isinstance(section, dict), f"{key} must be a JSON object")
+    return section
+
+
+def _check_location(spec) -> None:
+    """Check a mesh location spec: 'triangle' + 'bary' [s, t], or 'nearest' [x, y, z]."""
+    on_triangle = isinstance(spec, dict) and "triangle" in spec and "bary" in spec
+    _require(on_triangle or isinstance(spec, dict) and "nearest" in spec,
+             "mesh vortex needs 'triangle'+'bary' or 'nearest'")
+    if on_triangle:
+        _number(spec["triangle"], "vortex triangle", int)
+        _numbers(spec["bary"], 2, "vortex bary")
+    else:
+        _numbers(spec["nearest"], 3, "vortex nearest")
+
+
+def _check_region(region, geometry: str) -> None:
+    """Check a flat sampler's region; mesh samplers draw by area and ignore it."""
+    if region is None or geometry == CLOSED_SURFACE:
+        return
+    _require(isinstance(region, dict), "sampler region must be a JSON object")
+    if geometry == PLANE:
+        _require("box" in region or "disk" in region,
+                 "plane sampler region must define 'box' or 'disk'")
+        if "box" in region:
+            _numbers(region["box"], 4, "box region")
+            return
+        disk = region["disk"]
+        _require(isinstance(disk, dict) and "center" in disk and "radius" in disk,
+                 "disk region needs a center and a radius")
+        _numbers(disk["center"], 2, "disk center")
+        _number(disk["radius"], "disk radius")
+        return
+    _require("cap" in region, "sphere sampler region must be null or define 'cap'")
+    cap = region["cap"]
+    _require(isinstance(cap, dict) and "center" in cap and "angle" in cap,
+             "cap region needs a center and an angle")
+    _require(any(_numbers(cap["center"], 3, "cap center")), "cap center must not be zero")
+    _number(cap["angle"], "cap angle")
+
+
 def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Scenario:
     """Validate a raw scenario dict; raises :class:`ScenarioError` on problems."""
     _require(isinstance(obj, dict), "scenario must be a JSON object")
@@ -138,6 +189,10 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
         _require(isinstance(v, dict) and "strength" in v, "each vortex needs a strength")
         _require(np.isfinite(_number(v["strength"], "vortex strength")),
                  "vortex strength must be finite")
+        if geometry == CLOSED_SURFACE:
+            _check_location(v)
+        else:
+            _flat_position(v.get("position"), geometry)
 
     raw_samplers = obj.get("samplers", [])
     if "sampler" in obj:
@@ -147,11 +202,14 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
         _require(isinstance(s, dict) and "count" in s, "sampler needs a count")
         count = _number(s["count"], "sampler count", int)
         _require(count >= 0, "sampler count must be >= 0")
+        strength = s.get("strength", {"law": "constant", "value": 1.0})
+        _require(isinstance(strength, dict), "sampler strength must be a JSON object")
+        _check_region(s.get("region"), geometry)
         samplers.append(
             SamplerSpec(
                 count=count,
                 seed=_number(s.get("seed", 0), "sampler seed", int),
-                strength=s.get("strength", {"law": "constant", "value": 1.0}),
+                strength=strength,
                 region=s.get("region"),
             )
         )
@@ -163,6 +221,12 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
         _require("counter_vortex" in balance, "balance object must be {'counter_vortex': pos}")
         counter_position = balance["counter_vortex"]
         balance_mode = "counter_vortex"
+        if geometry != CLOSED_SURFACE:
+            _flat_position(counter_position, geometry)
+        elif isinstance(counter_position, dict):
+            _check_location(counter_position)
+        else:  # a point, projected onto the sphere image
+            _flat_position(counter_position, SPHERE)
     else:
         _require(balance in ("none", "reject"), f"unknown balance mode {balance!r}")
         balance_mode = balance
@@ -180,7 +244,7 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
-    conf = obj.get("conformal", {})
+    conf = _section(obj, "conformal")
     conformal = ConformalParams(
         delta=_number(conf.get("delta", 0.1), "conformal delta"),
         tol=_number(conf.get("tol", 1e-3), "conformal tol"),
@@ -192,7 +256,7 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
     sign = _number(obj.get("self_term_sign", DEFAULT_SELF_TERM_SIGN), "self_term_sign", int)
     _require(sign in (-1, 1), "self_term_sign must be +1 or -1")
 
-    out = obj.get("outputs", {})
+    out = _section(obj, "outputs")
     outputs = OutputSpec(
         trajectories=bool(out.get("trajectories", True)),
         energy=bool(out.get("energy", True)),
@@ -263,14 +327,12 @@ def _sample_plane(spec: SamplerSpec, rng: np.random.Generator) -> np.ndarray:
         x0, x1, y0, y1 = (float(v) for v in region["box"])
         x = rng.uniform(x0, x1, spec.count)
         y = rng.uniform(y0, y1, spec.count)
-    elif "disk" in region:
+    else:
         cx, cy = (float(v) for v in region["disk"]["center"])
         radius = float(region["disk"]["radius"])
         r = radius * np.sqrt(rng.random(spec.count))
         phi = 2.0 * np.pi * rng.random(spec.count)
         x, y = cx + r * np.cos(phi), cy + r * np.sin(phi)
-    else:
-        raise ScenarioError("plane sampler region must define 'box' or 'disk'")
     return np.stack([x, y, np.zeros(spec.count)], axis=1)
 
 
@@ -289,29 +351,25 @@ def _sample_sphere(spec: SamplerSpec, rng: np.random.Generator) -> np.ndarray:
     if spec.region is None:
         p = rng.normal(size=(spec.count, 3))
         return normalize_rows(p)
-    if "cap" in spec.region:
-        center = normalize_rows(np.asarray(spec.region["cap"]["center"], dtype=np.float64))
-        angle = float(spec.region["cap"]["angle"])
-        z = rng.uniform(np.cos(angle), 1.0, spec.count)
-        phi = 2.0 * np.pi * rng.random(spec.count)
-        s = np.sqrt(1.0 - z * z)
-        local = np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
-        return local @ _rotation_to(center).T
-    raise ScenarioError("sphere sampler region must be null or define 'cap'")
+    center = normalize_rows(np.asarray(spec.region["cap"]["center"], dtype=np.float64))
+    angle = float(spec.region["cap"]["angle"])
+    z = rng.uniform(np.cos(angle), 1.0, spec.count)
+    phi = 2.0 * np.pi * rng.random(spec.count)
+    s = np.sqrt(1.0 - z * z)
+    local = np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
+    return local @ _rotation_to(center).T
 
 
 def _mesh_location(spec: dict, mesh: TriangleMesh) -> tuple[int, tuple[float, float]]:
-    """Resolve an explicit mesh vortex location spec to (triangle, (s, t))."""
+    """Resolve a mesh location spec, checked by `_check_location`, to (triangle, (s, t))."""
     if "triangle" in spec and "bary" in spec:
         s, t = (float(v) for v in spec["bary"])
         return int(spec["triangle"]), (s, t)
-    if "nearest" in spec:
-        anchor = np.asarray(spec["nearest"], dtype=np.float64)
-        vid = int(np.argmin(np.linalg.norm(mesh.vertices - anchor, axis=1)))
-        tri = int(np.nonzero((mesh.triangles == vid).any(axis=1))[0][0])
-        corner = int(np.nonzero(mesh.triangles[tri] == vid)[0][0])
-        return tri, {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.0, 1.0)}[corner]
-    raise ScenarioError("mesh vortex needs 'triangle'+'bary' or 'nearest'")
+    anchor = np.asarray(spec["nearest"], dtype=np.float64)
+    vid = int(np.argmin(np.linalg.norm(mesh.vertices - anchor, axis=1)))
+    tri = int(np.nonzero((mesh.triangles == vid).any(axis=1))[0][0])
+    corner = int(np.nonzero(mesh.triangles[tri] == vid)[0][0])
+    return tri, {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.0, 1.0)}[corner]
 
 
 def _mesh_positions(specs: list[dict], atlas: ConformalAtlas) -> np.ndarray:
@@ -323,11 +381,16 @@ def _mesh_positions(specs: list[dict], atlas: ConformalAtlas) -> np.ndarray:
 
 
 def _flat_position(position, geometry: str) -> np.ndarray:
-    pos = np.asarray(position, dtype=np.float64)
+    """A plane or sphere vortex position as a 3-vector; a malformed one raises ScenarioError."""
     if geometry == PLANE:
-        _require(pos.shape in ((2,), (3,)), "plane vortex position must be [x, y]")
-        return np.array([pos[0], pos[1], 0.0])
-    _require(pos.shape == (3,), "sphere vortex position must be [x, y, z]")
+        _require(isinstance(position, (list, tuple)) and len(position) in (2, 3),
+                 "plane vortex position must be [x, y]")
+        pos = np.array([_number(v, "vortex position") for v in position[:2]] + [0.0])
+        _require(np.isfinite(pos).all(), "plane vortex position must be finite")
+        return pos
+    pos = np.array(_numbers(position, 3, "sphere vortex position"))
+    _require(np.isfinite(pos).all() and pos.any(),
+             "sphere vortex position must be a finite nonzero vector")
     return normalize_rows(pos)
 
 

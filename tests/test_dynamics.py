@@ -24,7 +24,16 @@ from surfvort import (
     surface_field_velocity,
     surface_vortex_velocities,
 )
-from surfvort.dynamics import CLOSED_SURFACE, PLANE, SPHERE
+from surfvort.dynamics import (
+    CLOSED_SURFACE,
+    PAIR_BLOCK_PAIRS,
+    PLANE,
+    SPHERE,
+    SurfaceVelocityEvaluator,
+    _row_blocks,
+    nearest_vortex_distance,
+)
+from surfvort.kernels import EPS_SEPARATION
 from surfvort.numerics import normalize_rows
 from surfvort.shapes import icosphere
 
@@ -230,6 +239,198 @@ class TestPairSumAccuracy:
             assert abs(value - math.fsum(row)) < 1e-12 * math.fsum(np.abs(row))
 
 
+# Whole-matrix pair passes: one (m, n) or (3, m, n) array over all targets at
+# once. They are the oracle the block-wise library passes must match bit for bit.
+
+_CYCLIC = np.array([1, 2, 0, 2, 0, 1])
+
+
+def whole_plane_pair_sum(targets, sources, strengths, exclude_diagonal):
+    dx = targets[:, 0, None] - sources[None, :, 0]
+    dy = targets[:, 1, None] - sources[None, :, 1]
+    r2 = dx * dx + dy * dy
+    if exclude_diagonal:
+        np.fill_diagonal(r2, np.inf)
+    if np.sqrt(r2.min()) < EPS_SEPARATION:
+        raise SingularityError("evaluation point closer than the singularity guard to a vortex")
+    c = strengths / r2
+    out = np.zeros((targets.shape[0], 3))
+    out[:, 0] = -(dy * c).sum(axis=1)
+    out[:, 1] = (dx * c).sum(axis=1)
+    return out
+
+
+def whole_sphere_pair_sum(targets, sources, strengths, exclude_diagonal):
+    dots = (targets @ sources.T).clip(-1.0, 1.0)
+    if exclude_diagonal:
+        np.fill_diagonal(dots, -1.0)
+    if np.arccos(dots.max()) < EPS_SEPARATION:
+        raise SingularityError("evaluation point closer than the singularity guard to a vortex")
+    t = targets.T[_CYCLIC, :, None]
+    s = sources.T[_CYCLIC, None, :]
+    cross = t[:3] * s[3:]
+    cross -= t[3:] * s[:3]
+    cross *= strengths / (1.0 - dots)
+    return cross.sum(axis=2).T
+
+
+def whole_stream_function(x, system):
+    green = green_plane if system.geometry == PLANE else green_sphere
+    terms = system.strengths[None, :] * green(x[:, None, :], system.positions[None, :, :])
+    return terms.sum(axis=1)
+
+
+def whole_nearest_distance(pts, system):
+    if system.geometry == PLANE:
+        return np.linalg.norm(pts[:, None, :] - system.positions[None, :, :], axis=2).min(axis=1)
+    return np.arccos(np.clip(pts @ system.positions.T, -1.0, 1.0)).min(axis=1)
+
+
+def whole_closest_pair(geometry, pos):
+    """(i, j) of the first minimum of the whole distance matrix, and that distance."""
+    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
+    np.fill_diagonal(dist, np.inf)
+    if geometry != PLANE:
+        dist = 2.0 * np.arcsin(np.clip(dist / 2.0, 0.0, 1.0))
+    i, j = np.unravel_index(int(np.argmin(dist)), dist.shape)
+    return (int(i), int(j)), dist[i, j]
+
+
+def spread_points(rng, geometry, m):
+    if geometry == PLANE:
+        pts = np.zeros((m, 3))
+        pts[:, :2] = rng.uniform(-1.5, 1.5, (m, 2))
+        return pts
+    return normalize_rows(rng.normal(size=(m, 3)))
+
+
+# Self-sum sizes at the block edges: one block up to 362 vortices
+# (362**2 <= PAIR_BLOCK_PAIRS), then 361 + 2 rows at 363, two full blocks at
+# 512 and 255 + 255 + 3 rows at 513. Field sizes over 1024 vortices, whose
+# blocks are B = 128 rows: 1, B - 1, B, B + 1 and 2B + 3 points.
+SELF_SIZES = [1, 361, 362, 363, 512, 513]
+FIELD_SOURCES = 1024
+B = PAIR_BLOCK_PAIRS // FIELD_SOURCES
+FIELD_SIZES = [1, B - 1, B, B + 1, 2 * B + 3]
+M = 513                                   # three self-sum blocks
+MB = PAIR_BLOCK_PAIRS // M                # their rows
+
+
+class TestBlockEdges:
+    """Block-wise pair passes against the whole-matrix oracle at block edges."""
+
+    def test_block_bounds(self):
+        assert B == 128 and MB == 255
+        assert list(_row_blocks(362, 362)) == [(0, 362)]
+        assert list(_row_blocks(363, 363)) == [(0, 361), (361, 363)]
+        assert list(_row_blocks(512, 512)) == [(0, 256), (256, 512)]
+        assert list(_row_blocks(M, M)) == [(0, MB), (MB, 2 * MB), (2 * MB, M)]
+        assert list(_row_blocks(2 * B + 3, FIELD_SOURCES)) == [(0, B), (B, 2 * B), (2 * B, 2 * B + 3)]
+        assert list(_row_blocks(3, 10 ** 6)) == [(0, 1), (1, 2), (2, 3)]
+
+    @pytest.mark.parametrize("geometry", [PLANE, SPHERE])
+    @pytest.mark.parametrize("m", SELF_SIZES)
+    def test_vortex_velocities(self, geometry, m):
+        rng = np.random.default_rng(m)
+        system = VortexSystem(geometry, spread_points(rng, geometry, m), rng.uniform(-1, 1, m))
+        p, w = system.positions, system.strengths
+        if geometry == PLANE:
+            u, whole = planar_vortex_velocities(system), whole_plane_pair_sum(p, p, w, True) / (2 * math.pi)
+        else:
+            u, whole = sphere_vortex_velocities(system), whole_sphere_pair_sum(p, p, w, True) / FOUR_PI
+        assert np.array_equal(u, whole)
+
+    @pytest.mark.parametrize("geometry", [PLANE, SPHERE])
+    @pytest.mark.parametrize("m", FIELD_SIZES)
+    def test_field_velocity_and_stream_function(self, geometry, m):
+        rng = np.random.default_rng(m)
+        n = FIELD_SOURCES
+        pts = spread_points(rng, geometry, n + m)
+        system = VortexSystem(geometry, pts[:n], rng.uniform(-1, 1, n))
+        x = pts[n:]
+        p, w = system.positions, system.strengths
+        if geometry == PLANE:
+            u, whole = planar_field_velocity(x, system), whole_plane_pair_sum(x, p, w, False) / (2 * math.pi)
+        else:
+            u, whole = sphere_field_velocity(x, system), whole_sphere_pair_sum(x, p, w, False) / FOUR_PI
+        assert np.array_equal(u, whole)
+        assert np.array_equal(stream_function(x, system), whole_stream_function(x, system))
+        assert np.array_equal(nearest_vortex_distance(x, system), whole_nearest_distance(x, system))
+
+    @pytest.mark.parametrize("geometry", [PLANE, SPHERE])
+    @pytest.mark.parametrize("m", SELF_SIZES)
+    def test_energy_matches_exact_pair_sum(self, geometry, m):
+        rng = np.random.default_rng(m)
+        system = VortexSystem(geometry, spread_points(rng, geometry, m), rng.uniform(-1, 1, m))
+        if m < 2:
+            assert kinetic_energy(system) == 0.0
+            return
+        green = green_plane if geometry == PLANE else green_sphere
+        iu, ju = np.triu_indices(m, k=1)
+        p, w = system.positions, system.strengths
+        exact = -math.fsum(w[iu] * w[ju] * green(p[iu], p[ju]))
+        e = kinetic_energy(system)
+        if m * m <= PAIR_BLOCK_PAIRS:
+            assert e == exact  # one block: the exactly rounded sum
+        else:
+            assert abs(e - exact) <= 1e-13 * abs(exact)
+
+    @pytest.mark.parametrize("geometry", [PLANE, SPHERE])
+    def test_singularity_only_in_last_block(self, geometry):
+        # vortices m-2 and m-1, both in the last block, are 5e-10 apart
+        m = M
+        rng = np.random.default_rng(7)
+        pos = spread_points(rng, geometry, m)
+        if geometry == SPHERE:
+            pos[-2:] = normalize_rows(np.array([[0.0, 0.0, 1.0], [5e-10, 0.0, 1.0]]))
+        else:
+            pos[-1] = pos[-2] + [5e-10, 0.0, 0.0]
+        system = VortexSystem(geometry, pos, rng.uniform(-1, 1, m), check=False)
+        velocities, field, whole = (
+            (planar_vortex_velocities, planar_field_velocity, whole_plane_pair_sum)
+            if geometry == PLANE else
+            (sphere_vortex_velocities, sphere_field_velocity, whole_sphere_pair_sum))
+        with pytest.raises(SingularityError, match="singularity guard"):
+            whole(pos, pos, system.strengths, True)
+        with pytest.raises(SingularityError, match="singularity guard"):
+            velocities(system)
+        # vortex m-1 as the only point of the last field block over the other vortices
+        others = VortexSystem(geometry, pos[:-1], system.strengths[:-1])
+        rows = PAIR_BLOCK_PAIRS // (m - 1)
+        x = np.concatenate([spread_points(rng, geometry, 2 * rows), pos[-1:]])
+        with pytest.raises(SingularityError, match="singularity guard"):
+            field(x, others)
+        dist = nearest_vortex_distance(x, others)
+        assert dist[-1] < EPS_SEPARATION and dist[:-1].min() >= EPS_SEPARATION
+
+    @pytest.mark.parametrize("geometry", [PLANE, SPHERE])
+    def test_min_separation_names_whole_matrix_pair(self, geometry):
+        # a wider violating pair in block 0 and a closer one in block 1
+        rng = np.random.default_rng(11)
+        pos = spread_points(rng, geometry, M)
+        pos[400] = pos[3] + [6e-10, 0.0, 0.0]
+        pos[MB + 13] = pos[MB + 12] + [0.0, 2e-10, 0.0]
+        if geometry == SPHERE:
+            pos = normalize_rows(pos)
+        pair, dist = whole_closest_pair(geometry, pos)
+        assert dist < EPS_SEPARATION and pair == (MB + 12, MB + 13)
+        with pytest.raises(SingularityError, match=f"vortices {pair[0]} and {pair[1]} "):
+            VortexSystem(geometry, pos, np.ones(M))
+
+    def test_min_separation_tie_names_first_pair(self):
+        # two pairs at the same exact distance, in blocks 0 and 1: the first wins
+        pos = np.zeros((M, 3))
+        pos[:, 0] = np.arange(M, dtype=float)
+        pos[MB + 40, 0] = pos[MB + 41, 0] = 0.0
+        pos[MB + 40, 1], pos[MB + 41, 1] = 8.0, 8.0 + 2.0 ** -32
+        pos[2, 1] = pos[MB + 50, 1] = -8.0
+        pos[2, 0], pos[MB + 50, 0] = 500.0, 500.0 + 2.0 ** -32
+        pair, dist = whole_closest_pair(PLANE, pos)
+        assert pair == (2, MB + 50) and dist == 2.0 ** -32
+        with pytest.raises(SingularityError, match=f"vortices 2 and {MB + 50} "):
+            VortexSystem(PLANE, pos, np.ones(M))
+
+
 class TestSurfaceVelocities:
     def test_identity_atlas_reduces_to_sphere(self, rng):
         atlas = ConformalAtlas.identity(icosphere(2))
@@ -269,6 +470,31 @@ class TestSurfaceVelocities:
         system = random_sphere_system(rng, 3)
         with pytest.raises(ValueError):
             surface_vortex_velocities(system, atlas)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_matches_numpy_cross_formula(self, blob_atlas, rng, sign):
+        # the written-out self-term cross product gives np.cross's bits
+        n = 40
+        w = rng.uniform(-1.0, 1.0, n)
+        w[-1] = -math.fsum(w[:-1])
+        surf = VortexSystem(CLOSED_SURFACE, normalize_rows(rng.normal(size=(n, 3))), w)
+        p = surf.positions
+        tri, st = blob_atlas.locator.locate(p)
+        h = blob_atlas.factor_at(tri, st)
+        self_term = (surf.strengths / h)[:, None] * np.cross(p, blob_atlas.grad_factor_at(tri))
+        pair = whole_sphere_pair_sum(p, p, surf.strengths, True)
+        expected = (pair + sign * self_term) / (4.0 * np.pi * (h * h)[:, None])
+        u = surface_vortex_velocities(surf, blob_atlas, self_term_sign=sign)
+        assert np.array_equal(u, expected)
+        evaluator = SurfaceVelocityEvaluator(blob_atlas, surf.strengths, self_term_sign=sign)
+        assert np.array_equal(evaluator(p), expected)
+
+    def test_evaluator_checks_once_at_construction(self, rng):
+        atlas = ConformalAtlas.identity(icosphere(2))
+        with pytest.raises(VorticityBalanceError):
+            SurfaceVelocityEvaluator(atlas, [1.0, -0.5])
+        with pytest.raises(ValueError):
+            SurfaceVelocityEvaluator(atlas, [1.0, -1.0], self_term_sign=0)
 
 
 class TestSurfaceField:

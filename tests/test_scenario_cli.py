@@ -113,6 +113,45 @@ class TestScenarioParsing:
         assert main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("doc", [
+        dict(PAIR_SCENARIO, conformal=5),
+        dict(PAIR_SCENARIO, outputs=[]),
+        dict(PAIR_SCENARIO, sampler={"count": 4, "region": {"box": [0, 1]}}),
+        dict(PAIR_SCENARIO, geometry="sphere",
+             vortices=[{"position": [0, 0, 0], "strength": 1.0}]),
+        dict(PAIR_SCENARIO, sampler={"count": 4, "region": {"disk": {"center": [0, 0]}}}),
+        dict(PAIR_SCENARIO, geometry="sphere", vortices=[],
+             sampler={"count": 4, "region": {"cap": {"center": [0, 0, 0], "angle": 0.3}}}),
+        dict(PAIR_SCENARIO, sampler={"count": 4, "strength": 2.0}),
+        dict(PAIR_SCENARIO, vortices=[{"position": ["a", 0], "strength": 1.0}]),
+        dict(PAIR_SCENARIO, balance={"counter_vortex": [1.0]},
+             vortices=[{"position": [1.0, 0.0], "strength": 1.0}]),
+        dict(PAIR_SCENARIO, geometry={"mesh": "ico.obj"},
+             vortices=[{"nearest": [0, 0], "strength": 1.0}]),
+        dict(PAIR_SCENARIO, geometry={"mesh": "ico.obj"},
+             vortices=[{"triangle": 0, "strength": 1.0}]),
+        dict(PAIR_SCENARIO, geometry={"mesh": "ico.obj"}, balance={"counter_vortex": [0, 0, 0]},
+             vortices=[{"nearest": [0, 0, 1], "strength": 1.0}]),
+    ], ids=["conformal_number", "outputs_list", "short_box", "zero_sphere_vortex",
+            "disk_no_radius", "zero_cap_center", "strength_number", "position_text",
+            "short_counter", "mesh_short_nearest", "mesh_no_bary", "mesh_zero_counter"])
+    def test_malformed_scenario_fails_before_compute(self, tmp_path, doc, monkeypatch, capsys):
+        import surfvort.cli as cli_mod
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("computed before the scenario was checked")
+
+        save_obj(icosphere(2), tmp_path / "ico.obj")
+        scn = write_scenario(tmp_path, doc)
+        with pytest.raises(ScenarioError, match="must|needs"):
+            load_scenario(scn)
+        monkeypatch.setattr(cli_mod, "build_run", no_compute)
+        out = tmp_path / "out"
+        assert main(["run", scn, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", [
         {"kind": "plane_grid", "xmin": -1, "nx": 3, "ymin": -1, "ymax": 1, "ny": 3},
         {"kind": "plane_grid", "xmin": -1, "xmax": 1, "nx": -3, "ymin": -1, "ymax": 1, "ny": 3},
@@ -281,6 +320,16 @@ class TestFieldCommand:
         speeds = np.linalg.norm(data[:, 3:6], axis=1)
         np.testing.assert_allclose(speeds, 1.0 / (2 * math.pi), rtol=1e-12)
         np.testing.assert_allclose(data[:, 6], 0.0, atol=1e-15)  # psi = 0 on the unit circle
+
+    @pytest.mark.parametrize("grid", [
+        {"kind": "ring", "radius": 1.0, "count": 0},
+        {"kind": "plane_grid", "xmin": -1, "xmax": 1, "nx": 0, "ymin": -1, "ymax": 1, "ny": 3},
+    ], ids=["empty_ring", "empty_plane_grid"])
+    def test_empty_grid_writes_header_only(self, tmp_path, grid):
+        scn = write_scenario(tmp_path, PAIR_SCENARIO)
+        out = tmp_path / "out"
+        assert main(["field", scn, "--grid", json.dumps(grid), "--out", str(out)]) == 0
+        assert (out / "field.csv").read_text() == "# skipped_near_vortex: 0\nx,y,z,ux,uy,uz,psi\n"
 
     def test_closed_surface_field_flags_stream_unsupported(self, tmp_path):
         save_obj(icosphere(2), tmp_path / "ico.obj")
