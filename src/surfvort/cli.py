@@ -305,7 +305,7 @@ def _cmd_field(args) -> int:
         grid = scenario.outputs.field_grid
     if grid is None:
         raise ScenarioError("no field grid: pass --grid or set outputs.field_grid")
-    check_grid(grid, scenario.geometry)
+    check_grid(grid, scenario.geometry, len(scenario.vortices) + sum(s.count for s in scenario.samplers) + (scenario.balance_mode == "counter_vortex"))
     prepared = build_run(scenario)
     if prepared.atlas is not None and not prepared.atlas.converged:
         print("error: conformal map did not converge", file=sys.stderr)

@@ -43,6 +43,16 @@ GRID_KEYS = {
     "surface_samples": {"count": int},
 }
 
+# Resource bounds checked at parse time, each at least 10x over every preset
+# and benchmark workload. The vortex count bounds the sphere RHS's (n, n) dot
+# products (0.8 GB); (steps + 1) * n bounds the trajectory records (0.48 GB,
+# twice that with the map-back on meshes); the field bounds cap the points
+# and the point-vortex pairs of one field pass.
+MAX_VORTICES = 10_000
+MAX_RECORDS = 20_000_000
+MAX_FIELD_POINTS = 1_000_000
+MAX_FIELD_PAIRS = 100_000_000
+
 
 @dataclass(frozen=True)
 class ConformalParams:
@@ -64,7 +74,7 @@ class OutputSpec:
 class SamplerSpec:
     count: int
     seed: int
-    strength: dict
+    strength: tuple[str, float, float]
     region: dict | None = None
 
 
@@ -97,22 +107,34 @@ def _number(value, what: str, kind=float):
         raise ScenarioError(f"{what} must be a number, got {value!r}") from None
 
 
-def check_grid(grid, geometry: str) -> None:
-    """Check a field grid's kind, its required keys and their numbers; raises ScenarioError."""
+def _bounded(value: int, bound: int, what: str) -> None:
+    _require(value <= bound, f"{what} must be at most {bound:,}, got {value:,}")
+
+
+def check_grid(grid, geometry: str, vortices: int) -> None:
+    """Check a field grid's kind, its required keys and their numbers; raises ScenarioError.
+
+    `vortices` is the scenario's vortex count, for the bound on field pairs.
+    """
     _require(isinstance(grid, dict), "field grid must be a JSON object")
     kind = grid.get("kind")
-    _require(kind in GRID_KEYS, f"unknown field grid kind {kind!r}")
+    _require(isinstance(kind, str) and kind in GRID_KEYS, f"unknown field grid kind {kind!r}")
+    points = 1
     for key, conv in GRID_KEYS[kind].items():
         _require(key in grid, f"{kind} field grid needs {key!r}")
         value = _number(grid[key], f"field grid {key}", conv)
         _require(conv is float or value >= 0, f"field grid {key} must be >= 0")
+        points *= value if conv is int else 1
+    _bounded(points, MAX_FIELD_POINTS, "field points (MAX_FIELD_POINTS)")
+    _bounded(points * vortices, MAX_FIELD_PAIRS, "field points x vortices (MAX_FIELD_PAIRS)")
     if kind == "ring":
         center = grid.get("center", [0.0, 0.0])
         _require(isinstance(center, list) and len(center) == 2, "ring center must be [x, y]")
         for v in center:
             _number(v, "ring center")
     if kind == "surface_samples":
-        _number(grid.get("seed", 0), "field grid seed", int)
+        _require(_number(grid.get("seed", 0), "field grid seed", int) >= 0,
+                 "field grid seed must be >= 0")
         _require(geometry == CLOSED_SURFACE, "surface_samples field grids need a mesh geometry")
 
 
@@ -128,6 +150,21 @@ def _section(obj: dict, key: str) -> dict:
     section = obj.get(key, {})
     _require(isinstance(section, dict), f"{key} must be a JSON object")
     return section
+
+
+def _strength_law(spec) -> tuple[str, float, float]:
+    """A sampler's strength law as (law, a, b): constant a (= b), or uniform on [a, b)."""
+    _require(isinstance(spec, dict), "sampler strength must be a JSON object")
+    law = spec.get("law", "constant")
+    if law == "constant":
+        value = _number(spec.get("value", 1.0), "strength value")
+        return law, value, value
+    _require(law == "uniform", f"strength law must be 'constant' or 'uniform', got {law!r}")
+    low = _number(spec.get("low", -1.0), "strength low")
+    high = _number(spec.get("high", 1.0), "strength high")
+    _require(low <= high and math.isfinite(high - low),
+             "uniform strength low must be <= high, with a finite range")
+    return law, low, high
 
 
 def _check_location(spec) -> None:
@@ -176,7 +213,7 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
     if isinstance(geom_spec, str):
         _require(geom_spec in ("plane", "sphere"), f"unknown geometry {geom_spec!r}")
         geometry = GEOMETRY_NAMES[geom_spec]
-    elif isinstance(geom_spec, dict) and "mesh" in geom_spec:
+    elif isinstance(geom_spec, dict) and isinstance(geom_spec.get("mesh"), str):
         geometry = CLOSED_SURFACE
         mesh_path = os.path.join(base_dir, geom_spec["mesh"])
         _require(os.path.exists(mesh_path), f"mesh file not found: {mesh_path}")
@@ -195,6 +232,7 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
             _flat_position(v.get("position"), geometry)
 
     raw_samplers = obj.get("samplers", [])
+    _require(isinstance(raw_samplers, list), "samplers must be a list")
     if "sampler" in obj:
         raw_samplers = [obj["sampler"]] + list(raw_samplers)
     samplers = []
@@ -202,18 +240,14 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
         _require(isinstance(s, dict) and "count" in s, "sampler needs a count")
         count = _number(s["count"], "sampler count", int)
         _require(count >= 0, "sampler count must be >= 0")
-        strength = s.get("strength", {"law": "constant", "value": 1.0})
-        _require(isinstance(strength, dict), "sampler strength must be a JSON object")
+        strength = _strength_law(s.get("strength", {"law": "constant", "value": 1.0}))
         _check_region(s.get("region"), geometry)
-        samplers.append(
-            SamplerSpec(
-                count=count,
-                seed=_number(s.get("seed", 0), "sampler seed", int),
-                strength=strength,
-                region=s.get("region"),
-            )
-        )
-    _require(vortices or samplers, "scenario defines no vortices")
+        seed = _number(s.get("seed", 0), "sampler seed", int)
+        _require(seed >= 0, "sampler seed must be >= 0")
+        samplers.append(SamplerSpec(count=count, seed=seed, strength=strength,
+                                    region=s.get("region")))
+    n = len(vortices) + sum(s.count for s in samplers)
+    _require(n > 0, "scenario defines no vortices")
 
     balance = obj.get("balance", "reject" if geometry == CLOSED_SURFACE else "none")
     counter_position = None
@@ -230,6 +264,8 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
     else:
         _require(balance in ("none", "reject"), f"unknown balance mode {balance!r}")
         balance_mode = balance
+    n += balance_mode == "counter_vortex"
+    _bounded(n, MAX_VORTICES, "vortex count (MAX_VORTICES)")
 
     integ = obj.get("integrator")
     _require(isinstance(integ, dict) and "dt" in integ and "steps" in integ,
@@ -243,6 +279,7 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
+    _bounded((integrator.steps + 1) * n, MAX_RECORDS, "(steps + 1) x vortices (MAX_RECORDS)")
 
     conf = _section(obj, "conformal")
     conformal = ConformalParams(
@@ -265,7 +302,7 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
         field_grid=out.get("field_grid"),
     )
     if outputs.field_grid is not None:
-        check_grid(outputs.field_grid, geometry)
+        check_grid(outputs.field_grid, geometry, n)
     diagnostics_every = _number(obj.get("diagnostics_every", 1), "diagnostics_every", int)
     _require(diagnostics_every >= 1, "diagnostics_every must be >= 1")
 
@@ -311,14 +348,10 @@ class PreparedRun:
                         self_term_sign=self.scenario.self_term_sign)
 
 
-def _strength_values(spec: dict, count: int, rng: np.random.Generator) -> np.ndarray:
-    law = spec.get("law", "constant")
-    if law == "constant":
-        return np.full(count, _number(spec.get("value", 1.0), "strength value"))
-    if law == "uniform":
-        low = _number(spec.get("low", -1.0), "strength low")
-        return rng.uniform(low, _number(spec.get("high", 1.0), "strength high"), count)
-    raise ScenarioError(f"unknown strength law {law!r}")
+def _strength_values(law: tuple[str, float, float], count: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    kind, a, b = law
+    return np.full(count, a) if kind == "constant" else rng.uniform(a, b, count)
 
 
 def _sample_plane(spec: SamplerSpec, rng: np.random.Generator) -> np.ndarray:
