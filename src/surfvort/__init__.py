@@ -21,7 +21,6 @@ from .dynamics import (
     PLANE,
     SPHERE,
     VortexSystem,
-    balance_vorticity,
     energy_diagnostics,
     kinetic_energy,
     make_rhs,

@@ -26,6 +26,7 @@ from .dynamics import (
     SPHERE,
     VortexSystem,
     energy_diagnostics,
+    make_rhs,
     nearest_vortex_distance,
     planar_field_velocity,
     sphere_field_velocity,
@@ -105,31 +106,31 @@ def _write_factors(out_dir: str, atlas) -> list[str]:
 def _grid_points(grid: dict, prepared):
     """Field points (n, 3), and their sphere-mesh ``(tri, st)`` when the grid samples them.
 
-    The grid has passed `check_grid`, so its kind is known and its keys are there.
+    The grid is one `check_grid` returned, so its values are there and converted.
     """
-    kind = grid.get("kind")
+    kind = grid["kind"]
     if kind == "plane_grid":
-        xs = np.linspace(float(grid["xmin"]), float(grid["xmax"]), int(grid["nx"]))
-        ys = np.linspace(float(grid["ymin"]), float(grid["ymax"]), int(grid["ny"]))
+        xs = np.linspace(grid["xmin"], grid["xmax"], grid["nx"])
+        ys = np.linspace(grid["ymin"], grid["ymax"], grid["ny"])
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         return np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)], axis=1), None
     if kind == "ring":
-        cx, cy = (float(v) for v in grid.get("center", [0.0, 0.0]))
-        r = float(grid["radius"])
-        phi = 2.0 * np.pi * np.arange(int(grid["count"])) / int(grid["count"])
+        (cx, cy), r = grid["center"], grid["radius"]
+        phi = 2.0 * np.pi * np.arange(grid["count"]) / grid["count"]
         pts = np.stack([cx + r * np.cos(phi), cy + r * np.sin(phi), np.zeros(phi.size)], axis=1)
         return pts, None
     if kind == "sphere_grid":
-        n_pol, n_az = int(grid["n_polar"]), int(grid["n_azimuth"])
+        n_pol, n_az = grid["n_polar"], grid["n_azimuth"]
         theta = np.pi * (np.arange(n_pol) + 0.5) / n_pol
         phi = 2.0 * np.pi * np.arange(n_az) / n_az
         tt, pp = np.meshgrid(theta, phi, indexing="ij")
         pts = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1)
         return pts.reshape(-1, 3), None
     # surface_samples
-    tri, st = sample_points(prepared.atlas.sphere_mesh, face_areas(prepared.mesh),
-                            int(grid["count"]), int(grid.get("seed", 0)))
-    return normalize_rows(position_of(prepared.atlas.sphere_mesh, tri, st)), (tri, st)
+    atlas = prepared.atlas
+    tri, st = sample_points(atlas.sphere_mesh, face_areas(atlas.source_mesh),
+                            grid["count"], grid["seed"])
+    return normalize_rows(position_of(atlas.sphere_mesh, tri, st)), (tri, st)
 
 
 def _write_field(path: str, prepared, grid: dict) -> None:
@@ -183,9 +184,8 @@ def _cmd_run(args) -> int:
         )
         return EXIT_NONCONVERGED
 
-    system = prepared.system
-    rhs = prepared.rhs()
-    atlas = prepared.atlas
+    system, atlas = prepared.system, prepared.atlas
+    rhs = make_rhs(system, atlas=atlas, self_term_sign=scenario.self_term_sign)
 
     def diagnostics(p):  # builds a system object at diagnosed steps only
         return energy_diagnostics(VortexSystem(system.geometry, p, system.strengths, check=False),
@@ -296,16 +296,14 @@ def _cmd_conformal_map(args) -> int:
 
 def _cmd_field(args) -> int:
     scenario = load_scenario(args.scenario)
+    grid = scenario.outputs.field_grid
     if args.grid is not None:
         try:
-            grid = json.loads(args.grid)
+            grid = check_grid(json.loads(args.grid), scenario.geometry, len(scenario.strengths))
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"--grid must be a JSON object: {exc}") from exc
-    else:
-        grid = scenario.outputs.field_grid
     if grid is None:
         raise ScenarioError("no field grid: pass --grid or set outputs.field_grid")
-    check_grid(grid, scenario.geometry, len(scenario.vortices) + sum(s.count for s in scenario.samplers) + (scenario.balance_mode == "counter_vortex"))
     prepared = build_run(scenario)
     if prepared.atlas is not None and not prepared.atlas.converged:
         print("error: conformal map did not converge", file=sys.stderr)

@@ -162,10 +162,15 @@ def _min_separation_check(geometry: str, pos: FloatArray) -> None:
         raise SingularityError(f"vortices {i} and {j} are separated by less than {EPS_SEPARATION:g}")
 
 
-def _require_balanced(strengths: FloatArray) -> None:
+def vorticity_imbalance(strengths) -> float:
+    """The total strength, or 0.0 when it is within BALANCE_RTOL of sum |w| (balanced)."""
     total = math.fsum(strengths)
-    scale = math.fsum(np.abs(strengths))
-    if abs(total) > BALANCE_RTOL * scale:
+    return total if abs(total) > BALANCE_RTOL * math.fsum(np.abs(strengths)) else 0.0
+
+
+def _require_balanced(strengths: FloatArray) -> None:
+    total = vorticity_imbalance(strengths)
+    if total:
         raise VorticityBalanceError(
             f"total vorticity {total:g} must vanish on a closed surface"
         )
@@ -242,11 +247,6 @@ def _require_geometry(system: VortexSystem, geometry: str) -> None:
         raise ValueError(f"expected a {geometry} system, got {system.geometry}")
 
 
-def _require_sign(self_term_sign: int) -> None:
-    if self_term_sign not in (-1, 1):
-        raise ValueError("self_term_sign must be +1 or -1")
-
-
 # ---------------------------------------------------------------------------
 # Planar dynamics
 # ---------------------------------------------------------------------------
@@ -254,8 +254,7 @@ def _require_sign(self_term_sign: int) -> None:
 def planar_vortex_velocities(system: VortexSystem) -> FloatArray:
     """Velocity of every vortex from all the others, (n, 3) with z = 0."""
     _require_geometry(system, PLANE)
-    return _plane_pair_sum(system.positions, system.positions, system.strengths,
-                           exclude_diagonal=True) / (2.0 * np.pi)
+    return make_rhs(system)(system.positions)
 
 
 def planar_field_velocity(x, system: VortexSystem) -> FloatArray:
@@ -275,8 +274,7 @@ def planar_field_velocity(x, system: VortexSystem) -> FloatArray:
 def sphere_vortex_velocities(system: VortexSystem) -> FloatArray:
     """Velocity of every vortex on the unit sphere; each result is tangent."""
     _require_geometry(system, SPHERE)
-    return _sphere_pair_sum(system.positions, system.positions, system.strengths,
-                            exclude_diagonal=True) / (4.0 * np.pi)
+    return make_rhs(system)(system.positions)
 
 
 def sphere_field_velocity(x, system: VortexSystem) -> FloatArray:
@@ -296,7 +294,6 @@ def surface_vortex_velocities(
     system: VortexSystem,
     atlas: ConformalAtlas,
     self_term_sign: int = DEFAULT_SELF_TERM_SIGN,
-    locations: tuple[NDArray[np.int64], FloatArray] | None = None,
 ) -> FloatArray:
     """Vortex velocities on the sphere image of a closed surface.
 
@@ -304,31 +301,11 @@ def surface_vortex_velocities(
                + sign * (w_j / h_j) p_j x grad_h(p_j) ] / (4 pi h_j^2)
 
     with h and grad h interpolated from the atlas at each vortex's sphere-mesh
-    location. `locations` may pass precomputed ``(tri, st)`` arrays to skip
-    the point location walk; `self_term_sign` selects the self-term
-    orientation (the default is fixed by the conserved-Hamiltonian experiment).
+    location; `self_term_sign` selects the self-term orientation (the default
+    is fixed by the conserved-Hamiltonian experiment).
     """
     _require_geometry(system, CLOSED_SURFACE)
-    _require_sign(self_term_sign)
-    _require_balanced(system.strengths)
-    p = system.positions
-    tri, st = atlas.locator.locate(p) if locations is None else locations
-    if tri.shape != (len(system),):
-        raise ValueError("need one sphere-mesh location per vortex")
-    return _surface_velocities(p, system.strengths, atlas, self_term_sign, tri, st)
-
-
-def _surface_velocities(p: FloatArray, strengths: FloatArray, atlas: ConformalAtlas,
-                        self_term_sign: int, tri: NDArray[np.int64], st: FloatArray) -> FloatArray:
-    """`surface_vortex_velocities` on checked inputs: positions, strengths and locations."""
-    pair = _sphere_pair_sum(p, p, strengths, exclude_diagonal=True)
-    h = atlas.factor_at(tri, st)
-    pt = p.T[_CYCLIC]                                               # (6, n)
-    gt = atlas.grad_factor_at(tri).T[_CYCLIC]
-    cross = pt[:3] * gt[3:]
-    cross -= pt[3:] * gt[:3]                                        # (3, n): p x grad h
-    self_term = (strengths / h) * cross
-    return (pair + self_term_sign * self_term.T) / (4.0 * np.pi * (h * h)[:, None])
+    return make_rhs(system, atlas, self_term_sign)(system.positions)
 
 
 def surface_field_velocity(
@@ -357,7 +334,7 @@ def surface_field_velocity(
 
 
 # ---------------------------------------------------------------------------
-# Stream function, energy, balance
+# Stream function and energy
 # ---------------------------------------------------------------------------
 
 def stream_function(x, system: VortexSystem) -> float | FloatArray:
@@ -452,35 +429,6 @@ def energy_diagnostics(system: VortexSystem,
     return kinetic_energy(system), h_tilde
 
 
-def balance_vorticity(
-    system: VortexSystem,
-    mode: str = "reject",
-    counter_position=None,
-) -> VortexSystem:
-    """Enforce vanishing total vorticity.
-
-    ``reject`` raises when |sum w| exceeds the balance tolerance;
-    ``counter_vortex`` appends one vortex of strength -sum(w) at
-    `counter_position`. Already-balanced systems pass through unchanged.
-    """
-    total = system.total_strength
-    scale = math.fsum(np.abs(system.strengths))
-    if abs(total) <= BALANCE_RTOL * max(scale, 1.0):
-        return system
-    if mode == "reject":
-        raise VorticityBalanceError(f"total vorticity {total:g} must vanish (reject mode)")
-    if mode != "counter_vortex":
-        raise ValueError(f"unknown balance mode {mode!r}")
-    if counter_position is None:
-        raise ValueError("counter_vortex mode needs a location for the counter vortex")
-    counter = np.asarray(counter_position, dtype=np.float64)
-    if counter.shape == (2,):
-        counter = np.array([counter[0], counter[1], 0.0])
-    positions = np.concatenate([system.positions, counter[None, :]])
-    strengths = np.concatenate([system.strengths, [-total]])
-    return VortexSystem(system.geometry, positions, strengths)
-
-
 # ---------------------------------------------------------------------------
 # Right-hand sides for the integrator
 # ---------------------------------------------------------------------------
@@ -497,7 +445,8 @@ class SurfaceVelocityEvaluator:
 
     def __init__(self, atlas: ConformalAtlas, strengths: FloatArray,
                  self_term_sign: int = DEFAULT_SELF_TERM_SIGN) -> None:
-        _require_sign(self_term_sign)
+        if self_term_sign not in (-1, 1):
+            raise ValueError("self_term_sign must be +1 or -1")
         self.atlas = atlas
         self.strengths = np.asarray(strengths, dtype=np.float64)
         _require_balanced(self.strengths)
@@ -510,9 +459,17 @@ class SurfaceVelocityEvaluator:
         self._hints = tri
         return tri, st
 
-    def __call__(self, positions: FloatArray) -> FloatArray:
-        return _surface_velocities(positions, self.strengths, self.atlas,
-                                   self.self_term_sign, *self.locate(positions))
+    def __call__(self, p: FloatArray) -> FloatArray:
+        """Velocities of the vortices at sphere points p; see `surface_vortex_velocities`."""
+        tri, st = self.locate(p)
+        pair = _sphere_pair_sum(p, p, self.strengths, exclude_diagonal=True)
+        h = self.atlas.factor_at(tri, st)
+        pt = p.T[_CYCLIC]                                           # (6, n)
+        gt = self.atlas.grad_factor_at(tri).T[_CYCLIC]
+        cross = pt[:3] * gt[3:]
+        cross -= pt[3:] * gt[:3]                                    # (3, n): p x grad h
+        self_term = (self.strengths / h) * cross
+        return (pair + self.self_term_sign * self_term.T) / (4.0 * np.pi * (h * h)[:, None])
 
     def to_source(self, positions: FloatArray) -> FloatArray:
         """Map sphere points back to the source mesh through the atlas."""

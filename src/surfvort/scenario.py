@@ -2,9 +2,11 @@
 
 A scenario is one UTF-8 JSON document describing geometry, vortices (explicit
 and/or sampled), the balance policy, integrator and conformal-map parameters,
-and output toggles. Building a scenario produces the ready-to-integrate
-vortex system plus, for mesh geometry, the conformal atlas and transport
-hooks.
+and output toggles. Parsing is the only reader of the document: it checks
+every value, draws the sampled vortices and strengths that need no mesh and
+settles the vorticity balance, so that every error the document alone decides
+comes before any mesh is loaded. Building a parsed scenario produces the
+ready-to-integrate vortex system plus, for mesh geometry, the conformal atlas.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import NDArray
 
 from . import shapes
 from .conformal import ConformalAtlas, build_atlas
@@ -24,15 +27,15 @@ from .dynamics import (
     PLANE,
     SPHERE,
     VortexSystem,
-    make_rhs,
+    vorticity_imbalance,
 )
-from .errors import ScenarioError, SurfVortError
+from .errors import LocationError, ScenarioError, SurfVortError
 from .integrator import IntegratorConfig
 from .mesh import TriangleMesh, face_areas, load_obj
 from .numerics import normalize_rows
 from .transport import clamp_bary, position_of, sample_points
 
-GEOMETRY_NAMES = {"plane": PLANE, "sphere": SPHERE, "mesh": CLOSED_SURFACE}
+FloatArray = NDArray[np.float64]
 
 # Required keys of each field grid kind, with the type each converts to.
 GRID_KEYS = {
@@ -67,25 +70,26 @@ class OutputSpec:
     energy: bool = True
     sphere_map: bool = False
     factors: bool = False
-    field_grid: dict | None = None
-
-
-@dataclass(frozen=True)
-class SamplerSpec:
-    count: int
-    seed: int
-    strength: tuple[str, float, float]
-    region: dict | None = None
+    field_grid: dict | None = None   # as returned by `check_grid`
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """A checked scenario. Its vortices run in the order explicit, sampled, counter vortex.
+
+    `positions` holds the plane or sphere positions. On meshes `locations`
+    holds a record per explicit vortex, sampler and counter vortex:
+    ``("triangle", index, st)`` with st the clamped (1, 2) barycentrics,
+    ``("nearest", anchor)``, ``("sphere", unit point)`` to locate on the
+    sphere image, or ``("samples", count, seed)``.
+    """
+
     geometry: str
     mesh_path: str | None
-    vortices: list[dict]
-    samplers: list[SamplerSpec]
+    strengths: FloatArray
+    positions: FloatArray | None
+    locations: list[tuple]
     balance_mode: str            # "none" | "reject" | "counter_vortex"
-    counter_position: object | None
     integrator: IntegratorConfig
     conformal: ConformalParams
     self_term_sign: int
@@ -99,43 +103,15 @@ def _require(cond: bool, message: str) -> None:
         raise ScenarioError(message)
 
 
-def _number(value, what: str, kind=float):
-    """`kind(value)` for a number read from a scenario; one that will not convert raises."""
+def _number(value, what: str, kind=float, minimum=None):
+    """`kind(value)` for a finite number, at least `minimum` if given, read from a scenario."""
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"{what} must be a number, got {value!r}") from None
-
-
-def _bounded(value: int, bound: int, what: str) -> None:
-    _require(value <= bound, f"{what} must be at most {bound:,}, got {value:,}")
-
-
-def check_grid(grid, geometry: str, vortices: int) -> None:
-    """Check a field grid's kind, its required keys and their numbers; raises ScenarioError.
-
-    `vortices` is the scenario's vortex count, for the bound on field pairs.
-    """
-    _require(isinstance(grid, dict), "field grid must be a JSON object")
-    kind = grid.get("kind")
-    _require(isinstance(kind, str) and kind in GRID_KEYS, f"unknown field grid kind {kind!r}")
-    points = 1
-    for key, conv in GRID_KEYS[kind].items():
-        _require(key in grid, f"{kind} field grid needs {key!r}")
-        value = _number(grid[key], f"field grid {key}", conv)
-        _require(conv is float or value >= 0, f"field grid {key} must be >= 0")
-        points *= value if conv is int else 1
-    _bounded(points, MAX_FIELD_POINTS, "field points (MAX_FIELD_POINTS)")
-    _bounded(points * vortices, MAX_FIELD_PAIRS, "field points x vortices (MAX_FIELD_PAIRS)")
-    if kind == "ring":
-        center = grid.get("center", [0.0, 0.0])
-        _require(isinstance(center, list) and len(center) == 2, "ring center must be [x, y]")
-        for v in center:
-            _number(v, "ring center")
-    if kind == "surface_samples":
-        _require(_number(grid.get("seed", 0), "field grid seed", int) >= 0,
-                 "field grid seed must be >= 0")
-        _require(geometry == CLOSED_SURFACE, "surface_samples field grids need a mesh geometry")
+    _require(kind is int or math.isfinite(number), f"{what} must be finite")
+    _require(minimum is None or number >= minimum, f"{what} must be >= {minimum}")
+    return number
 
 
 def _numbers(value, count: int, what: str) -> list[float]:
@@ -145,11 +121,74 @@ def _numbers(value, count: int, what: str) -> list[float]:
     return [_number(v, what) for v in value]
 
 
+def _unit(vector: list[float], what: str) -> FloatArray:
+    """Scale as `normalize_rows` does; a length of 0, or one that over/underflows, raises."""
+    v = np.array(vector)
+    with np.errstate(all="ignore"):
+        unit = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    _require(abs(np.linalg.norm(unit) - 1.0) <= 1e-9, f"{what} must be a finite nonzero vector")
+    return unit
+
+
+def _bounded(value: int, bound: int, what: str) -> None:
+    _require(value <= bound, f"{what} must be at most {bound:,}, got {value:,}")
+
+
 def _section(obj: dict, key: str) -> dict:
     """The JSON object under `key`, empty when absent."""
     section = obj.get(key, {})
     _require(isinstance(section, dict), f"{key} must be a JSON object")
     return section
+
+
+def check_grid(grid, geometry: str, vortices: int) -> dict:
+    """A field grid with its values converted; a bad one raises ScenarioError.
+
+    The result holds the kind, the kind's `GRID_KEYS`, a ring's `center` as
+    (x, y) and surface samples' `seed`. `vortices` is the scenario's vortex
+    count, for the bound on the field's point-vortex pairs.
+    """
+    _require(isinstance(grid, dict), "field grid must be a JSON object")
+    kind = grid.get("kind")
+    _require(isinstance(kind, str) and kind in GRID_KEYS, f"unknown field grid kind {kind!r}")
+    checked = {"kind": kind}
+    for key, conv in GRID_KEYS[kind].items():
+        _require(key in grid, f"{kind} field grid needs {key!r}")
+        checked[key] = _number(grid[key], f"field grid {key}", conv, 0 if conv is int else None)
+    if kind == "ring":
+        checked["center"] = tuple(_numbers(grid.get("center", [0.0, 0.0]), 2, "ring center"))
+    if kind == "surface_samples":
+        _require(geometry == CLOSED_SURFACE, "surface_samples field grids need a mesh geometry")
+        checked["seed"] = _number(grid.get("seed", 0), "field grid seed", int, 0)
+    points = math.prod(checked[key] for key, conv in GRID_KEYS[kind].items() if conv is int)
+    _bounded(points, MAX_FIELD_POINTS, "field points (MAX_FIELD_POINTS)")
+    _bounded(points * vortices, MAX_FIELD_PAIRS, "field points x vortices (MAX_FIELD_PAIRS)")
+    return checked
+
+
+def _flat_position(position, geometry: str) -> FloatArray:
+    """A plane or sphere vortex position as a 3-vector; a malformed one raises ScenarioError."""
+    if geometry == PLANE:
+        _require(isinstance(position, (list, tuple)) and len(position) in (2, 3),
+                 "plane vortex position must be [x, y]")
+        return np.array([_number(v, "vortex position") for v in position[:2]] + [0.0])
+    return _unit(_numbers(position, 3, "sphere vortex position"), "sphere vortex position")
+
+
+def _mesh_location(spec) -> tuple:
+    """A mesh location record of a 'triangle' + 'bary' [s, t] or a 'nearest' [x, y, z] spec."""
+    on_triangle = isinstance(spec, dict) and "triangle" in spec and "bary" in spec
+    _require(on_triangle or isinstance(spec, dict) and "nearest" in spec,
+             "mesh vortex needs 'triangle'+'bary' or 'nearest'")
+    if not on_triangle:
+        return "nearest", np.array(_numbers(spec["nearest"], 3, "vortex nearest"))
+    triangle = _number(spec["triangle"], "vortex triangle", int, 0)
+    _require(triangle < 2**63, "vortex triangle must be < 2**63")
+    bary = _numbers(spec["bary"], 2, "vortex bary")
+    try:
+        return "triangle", triangle, clamp_bary(bary)
+    except LocationError:
+        raise ScenarioError(f"vortex bary {bary} must have s, t >= 0 and s + t <= 1") from None
 
 
 def _strength_law(spec) -> tuple[str, float, float]:
@@ -167,105 +206,135 @@ def _strength_law(spec) -> tuple[str, float, float]:
     return law, low, high
 
 
-def _check_location(spec) -> None:
-    """Check a mesh location spec: 'triangle' + 'bary' [s, t], or 'nearest' [x, y, z]."""
-    on_triangle = isinstance(spec, dict) and "triangle" in spec and "bary" in spec
-    _require(on_triangle or isinstance(spec, dict) and "nearest" in spec,
-             "mesh vortex needs 'triangle'+'bary' or 'nearest'")
-    if on_triangle:
-        _number(spec["triangle"], "vortex triangle", int)
-        _numbers(spec["bary"], 2, "vortex bary")
-    else:
-        _numbers(spec["nearest"], 3, "vortex nearest")
+def _rotation_to(axis: FloatArray) -> FloatArray:
+    """Rotation matrix taking +z to `axis` (unit)."""
+    z = np.array([0.0, 0.0, 1.0])
+    v = np.cross(z, axis)
+    c = float(z @ axis)
+    if np.linalg.norm(v) < 1e-14:
+        return np.eye(3) if c > 0 else np.diag([1.0, -1.0, -1.0])
+    vx = np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
+    return np.eye(3) + vx + vx @ vx / (1.0 + c)
 
 
-def _check_region(region, geometry: str) -> None:
-    """Check a flat sampler's region; mesh samplers draw by area and ignore it."""
-    if region is None or geometry == CLOSED_SURFACE:
-        return
-    _require(isinstance(region, dict), "sampler region must be a JSON object")
+def _sample_flat(region, geometry: str, count: int, rng: np.random.Generator) -> FloatArray:
+    """`count` positions drawn from `rng` in a plane or sphere sampler's region.
+
+    Plane regions are a box [xmin, xmax, ymin, ymax], the default
+    [-1, 1, -1, 1], or a disk; sphere regions are None (the whole sphere)
+    or a cap.
+    """
     if geometry == PLANE:
-        _require("box" in region or "disk" in region,
+        region = {"box": [-1.0, 1.0, -1.0, 1.0]} if region is None else region
+        _require(isinstance(region, dict) and ("box" in region or "disk" in region),
                  "plane sampler region must define 'box' or 'disk'")
         if "box" in region:
-            _numbers(region["box"], 4, "box region")
-            return
-        disk = region["disk"]
-        _require(isinstance(disk, dict) and "center" in disk and "radius" in disk,
-                 "disk region needs a center and a radius")
-        _numbers(disk["center"], 2, "disk center")
-        _number(disk["radius"], "disk radius")
-        return
-    _require("cap" in region, "sphere sampler region must be null or define 'cap'")
+            x0, x1, y0, y1 = _numbers(region["box"], 4, "box region")
+            _require(x0 <= x1 and y0 <= y1 and math.isfinite(x1 - x0) and math.isfinite(y1 - y0),
+                     "box region must have xmin <= xmax and ymin <= ymax, with finite sides")
+            x = rng.uniform(x0, x1, count)
+            y = rng.uniform(y0, y1, count)
+        else:
+            disk = region["disk"]
+            _require(isinstance(disk, dict) and "center" in disk and "radius" in disk,
+                     "disk region needs a center and a radius")
+            cx, cy = _numbers(disk["center"], 2, "disk center")
+            radius = _number(disk["radius"], "disk radius", minimum=0)
+            r = radius * np.sqrt(rng.random(count))
+            phi = 2.0 * np.pi * rng.random(count)
+            x, y = cx + r * np.cos(phi), cy + r * np.sin(phi)
+        return np.stack([x, y, np.zeros(count)], axis=1)
+    if region is None:
+        return normalize_rows(rng.normal(size=(count, 3)))
+    _require(isinstance(region, dict) and "cap" in region,
+             "sphere sampler region must be null or define 'cap'")
     cap = region["cap"]
     _require(isinstance(cap, dict) and "center" in cap and "angle" in cap,
              "cap region needs a center and an angle")
-    _require(any(_numbers(cap["center"], 3, "cap center")), "cap center must not be zero")
-    _number(cap["angle"], "cap angle")
+    center = _unit(_numbers(cap["center"], 3, "cap center"), "cap center")
+    angle = _number(cap["angle"], "cap angle")
+    _require(0.0 <= angle <= math.pi, "cap angle must be in [0, pi]")
+    z = rng.uniform(np.cos(angle), 1.0, count)
+    phi = 2.0 * np.pi * rng.random(count)
+    s = np.sqrt(1.0 - z * z)
+    local = np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
+    return local @ _rotation_to(center).T
 
 
 def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Scenario:
-    """Validate a raw scenario dict; raises :class:`ScenarioError` on problems."""
+    """Check a raw scenario dict and read it into a :class:`Scenario`; raises ScenarioError.
+
+    Each sampler draws from ``numpy.random.default_rng(seed)``: on the plane
+    and the sphere its positions, then its strengths; on meshes its strengths
+    only, since its locations come from a generator of its own at build time.
+    """
     _require(isinstance(obj, dict), "scenario must be a JSON object")
 
     geom_spec = obj.get("geometry")
     mesh_path = None
     if isinstance(geom_spec, str):
-        _require(geom_spec in ("plane", "sphere"), f"unknown geometry {geom_spec!r}")
-        geometry = GEOMETRY_NAMES[geom_spec]
+        _require(geom_spec in (PLANE, SPHERE), f"unknown geometry {geom_spec!r}")
+        geometry = geom_spec
     elif isinstance(geom_spec, dict) and isinstance(geom_spec.get("mesh"), str):
         geometry = CLOSED_SURFACE
         mesh_path = os.path.join(base_dir, geom_spec["mesh"])
         _require(os.path.exists(mesh_path), f"mesh file not found: {mesh_path}")
     else:
         raise ScenarioError("geometry must be 'plane', 'sphere' or {'mesh': path}")
+    on_mesh = geometry == CLOSED_SURFACE
 
     vortices = obj.get("vortices", [])
     _require(isinstance(vortices, list), "vortices must be a list")
+    samplers = obj.get("samplers", [])
+    _require(isinstance(samplers, list), "samplers must be a list")
+    if "sampler" in obj:
+        samplers = [obj["sampler"]] + samplers
+
+    strengths, places = [], []   # places: (k, 3) flat positions, or mesh location records
     for v in vortices:
         _require(isinstance(v, dict) and "strength" in v, "each vortex needs a strength")
-        _require(np.isfinite(_number(v["strength"], "vortex strength")),
-                 "vortex strength must be finite")
-        if geometry == CLOSED_SURFACE:
-            _check_location(v)
-        else:
-            _flat_position(v.get("position"), geometry)
-
-    raw_samplers = obj.get("samplers", [])
-    _require(isinstance(raw_samplers, list), "samplers must be a list")
-    if "sampler" in obj:
-        raw_samplers = [obj["sampler"]] + list(raw_samplers)
-    samplers = []
-    for s in raw_samplers:
+        strengths.append([_number(v["strength"], "vortex strength")])
+        places.append(_mesh_location(v) if on_mesh else _flat_position(v.get("position"), geometry))
+    n = len(vortices)
+    for s in samplers:
         _require(isinstance(s, dict) and "count" in s, "sampler needs a count")
-        count = _number(s["count"], "sampler count", int)
-        _require(count >= 0, "sampler count must be >= 0")
-        strength = _strength_law(s.get("strength", {"law": "constant", "value": 1.0}))
-        _check_region(s.get("region"), geometry)
-        seed = _number(s.get("seed", 0), "sampler seed", int)
-        _require(seed >= 0, "sampler seed must be >= 0")
-        samplers.append(SamplerSpec(count=count, seed=seed, strength=strength,
-                                    region=s.get("region")))
-    n = len(vortices) + sum(s.count for s in samplers)
-    _require(n > 0, "scenario defines no vortices")
+        count = _number(s["count"], "sampler count", int, 0)
+        n += count
+        _bounded(n, MAX_VORTICES, "vortex count (MAX_VORTICES)")
+        seed = _number(s.get("seed", 0), "sampler seed", int, 0)
+        law = _strength_law(s.get("strength", {"law": "constant", "value": 1.0}))
+        rng = np.random.default_rng(seed)
+        places.append(("samples", count, seed) if on_mesh
+                      else _sample_flat(s.get("region"), geometry, count, rng))
+        strengths.append(np.full(count, law[1]) if law[0] == "constant"
+                         else rng.uniform(law[1], law[2], count))
+    _require(n > 0, "scenario must define at least one vortex")
 
-    balance = obj.get("balance", "reject" if geometry == CLOSED_SURFACE else "none")
-    counter_position = None
+    balance = obj.get("balance", "reject" if on_mesh else "none")
     if isinstance(balance, dict):
         _require("counter_vortex" in balance, "balance object must be {'counter_vortex': pos}")
-        counter_position = balance["counter_vortex"]
-        balance_mode = "counter_vortex"
-        if geometry != CLOSED_SURFACE:
-            _flat_position(counter_position, geometry)
-        elif isinstance(counter_position, dict):
-            _check_location(counter_position)
+        balance_mode, spec = "counter_vortex", balance["counter_vortex"]
+        if not on_mesh:
+            counter = _flat_position(spec, geometry)
+        elif isinstance(spec, dict):
+            counter = _mesh_location(spec)
         else:  # a point, projected onto the sphere image
-            _flat_position(counter_position, SPHERE)
+            counter = "sphere", _flat_position(spec, SPHERE)
     else:
         _require(balance in ("none", "reject"), f"unknown balance mode {balance!r}")
         balance_mode = balance
-    n += balance_mode == "counter_vortex"
-    _bounded(n, MAX_VORTICES, "vortex count (MAX_VORTICES)")
+    w = np.concatenate(strengths)
+    try:
+        total = vorticity_imbalance(w)
+    except OverflowError:
+        raise ScenarioError("the sum of the vortex strengths must be finite") from None
+    if total and balance_mode == "counter_vortex":
+        places.append(counter)
+        w = np.append(w, -total)
+    else:  # a closed surface needs vanishing total vorticity whatever the mode
+        _require(not total or balance_mode == "none" and not on_mesh,
+                 f"total vorticity {total:g} must vanish (balance: {balance_mode})")
+    _bounded(len(w), MAX_VORTICES, "vortex count (MAX_VORTICES)")
 
     integ = obj.get("integrator")
     _require(isinstance(integ, dict) and "dt" in integ and "steps" in integ,
@@ -279,7 +348,7 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
-    _bounded((integrator.steps + 1) * n, MAX_RECORDS, "(steps + 1) x vortices (MAX_RECORDS)")
+    _bounded((integrator.steps + 1) * len(w), MAX_RECORDS, "(steps + 1) x vortices (MAX_RECORDS)")
 
     conf = _section(obj, "conformal")
     conformal = ConformalParams(
@@ -294,25 +363,23 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
     _require(sign in (-1, 1), "self_term_sign must be +1 or -1")
 
     out = _section(obj, "outputs")
+    grid = out.get("field_grid")
     outputs = OutputSpec(
         trajectories=bool(out.get("trajectories", True)),
         energy=bool(out.get("energy", True)),
         sphere_map=bool(out.get("sphere_map", False)),
         factors=bool(out.get("factors", False)),
-        field_grid=out.get("field_grid"),
+        field_grid=None if grid is None else check_grid(grid, geometry, len(w)),
     )
-    if outputs.field_grid is not None:
-        check_grid(outputs.field_grid, geometry, n)
-    diagnostics_every = _number(obj.get("diagnostics_every", 1), "diagnostics_every", int)
-    _require(diagnostics_every >= 1, "diagnostics_every must be >= 1")
+    diagnostics_every = _number(obj.get("diagnostics_every", 1), "diagnostics_every", int, 1)
 
     return Scenario(
         geometry=geometry,
         mesh_path=mesh_path,
-        vortices=list(vortices),
-        samplers=samplers,
+        strengths=w,
+        positions=None if on_mesh else np.vstack(places),
+        locations=places if on_mesh else [],
         balance_mode=balance_mode,
-        counter_position=counter_position,
         integrator=integrator,
         conformal=conformal,
         self_term_sign=sign,
@@ -338,98 +405,35 @@ def load_scenario(path: str | os.PathLike) -> Scenario:
 
 @dataclass
 class PreparedRun:
-    scenario: Scenario
     system: VortexSystem
     atlas: ConformalAtlas | None = None
-    mesh: TriangleMesh | None = None
-
-    def rhs(self):
-        return make_rhs(self.system, atlas=self.atlas,
-                        self_term_sign=self.scenario.self_term_sign)
 
 
-def _strength_values(law: tuple[str, float, float], count: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    kind, a, b = law
-    return np.full(count, a) if kind == "constant" else rng.uniform(a, b, count)
-
-
-def _sample_plane(spec: SamplerSpec, rng: np.random.Generator) -> np.ndarray:
-    region = spec.region or {"box": [-1.0, 1.0, -1.0, 1.0]}
-    if "box" in region:
-        x0, x1, y0, y1 = (float(v) for v in region["box"])
-        x = rng.uniform(x0, x1, spec.count)
-        y = rng.uniform(y0, y1, spec.count)
-    else:
-        cx, cy = (float(v) for v in region["disk"]["center"])
-        radius = float(region["disk"]["radius"])
-        r = radius * np.sqrt(rng.random(spec.count))
-        phi = 2.0 * np.pi * rng.random(spec.count)
-        x, y = cx + r * np.cos(phi), cy + r * np.sin(phi)
-    return np.stack([x, y, np.zeros(spec.count)], axis=1)
-
-
-def _rotation_to(axis: np.ndarray) -> np.ndarray:
-    """Rotation matrix taking +z to `axis` (unit)."""
-    z = np.array([0.0, 0.0, 1.0])
-    v = np.cross(z, axis)
-    c = float(z @ axis)
-    if np.linalg.norm(v) < 1e-14:
-        return np.eye(3) if c > 0 else np.diag([1.0, -1.0, -1.0])
-    vx = np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
-    return np.eye(3) + vx + vx @ vx / (1.0 + c)
-
-
-def _sample_sphere(spec: SamplerSpec, rng: np.random.Generator) -> np.ndarray:
-    if spec.region is None:
-        p = rng.normal(size=(spec.count, 3))
-        return normalize_rows(p)
-    center = normalize_rows(np.asarray(spec.region["cap"]["center"], dtype=np.float64))
-    angle = float(spec.region["cap"]["angle"])
-    z = rng.uniform(np.cos(angle), 1.0, spec.count)
-    phi = 2.0 * np.pi * rng.random(spec.count)
-    s = np.sqrt(1.0 - z * z)
-    local = np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
-    return local @ _rotation_to(center).T
-
-
-def _mesh_location(spec: dict, mesh: TriangleMesh) -> tuple[int, tuple[float, float]]:
-    """Resolve a mesh location spec, checked by `_check_location`, to (triangle, (s, t))."""
-    if "triangle" in spec and "bary" in spec:
-        s, t = (float(v) for v in spec["bary"])
-        return int(spec["triangle"]), (s, t)
-    anchor = np.asarray(spec["nearest"], dtype=np.float64)
-    vid = int(np.argmin(np.linalg.norm(mesh.vertices - anchor, axis=1)))
+def _locate(record: tuple, atlas: ConformalAtlas):
+    """Sphere-mesh ``(tri, st)`` arrays of one mesh location record of a Scenario."""
+    mesh = atlas.source_mesh
+    kind, *value = record
+    if kind == "triangle":
+        return np.array(value[:1], dtype=np.int64), value[1]
+    if kind == "samples":
+        return sample_points(atlas.sphere_mesh, face_areas(mesh), *value)
+    if kind == "sphere":
+        return atlas.locator.locate(value[0])
+    # "nearest": the corner at the closest vertex, of the first triangle around it
+    vid = int(np.argmin(np.linalg.norm(mesh.vertices - value[0], axis=1)))
     tri = int(np.nonzero((mesh.triangles == vid).any(axis=1))[0][0])
     corner = int(np.nonzero(mesh.triangles[tri] == vid)[0][0])
-    return tri, {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.0, 1.0)}[corner]
-
-
-def _mesh_positions(specs: list[dict], atlas: ConformalAtlas) -> np.ndarray:
-    """Sphere-image positions (n, 3) of explicit mesh vortex location specs."""
-    located = [_mesh_location(spec, atlas.source_mesh) for spec in specs]
-    tri = np.array([t for t, _ in located], dtype=np.int64)
-    st = clamp_bary([st for _, st in located])
-    return normalize_rows(position_of(atlas.sphere_mesh, tri, st))
-
-
-def _flat_position(position, geometry: str) -> np.ndarray:
-    """A plane or sphere vortex position as a 3-vector; a malformed one raises ScenarioError."""
-    if geometry == PLANE:
-        _require(isinstance(position, (list, tuple)) and len(position) in (2, 3),
-                 "plane vortex position must be [x, y]")
-        pos = np.array([_number(v, "vortex position") for v in position[:2]] + [0.0])
-        _require(np.isfinite(pos).all(), "plane vortex position must be finite")
-        return pos
-    pos = np.array(_numbers(position, 3, "sphere vortex position"))
-    _require(np.isfinite(pos).all() and pos.any(),
-             "sphere vortex position must be a finite nonzero vector")
-    return normalize_rows(pos)
+    return np.array([tri], dtype=np.int64), np.eye(3)[None, corner, 1:]
 
 
 def build_run(scenario: Scenario) -> PreparedRun:
-    """Load geometry, build the atlas if needed and assemble the vortex system."""
-    mesh = atlas = None
+    """Load geometry, build the atlas if needed and assemble the vortex system.
+
+    What is left to fail here needs the mesh: reading it, its topology, a
+    triangle index past its last triangle, and vortices that coincide.
+    """
+    atlas = None
+    positions = scenario.positions
     if scenario.geometry == CLOSED_SURFACE:
         try:
             mesh = load_obj(scenario.mesh_path)
@@ -441,57 +445,14 @@ def build_run(scenario: Scenario) -> PreparedRun:
             tol=scenario.conformal.tol,
             max_iters=scenario.conformal.max_iters,
         )
-
-    if scenario.geometry == CLOSED_SURFACE:
-        blocks = [_mesh_positions(scenario.vortices, atlas)]
-    else:
-        explicit = [_flat_position(v.get("position"), scenario.geometry) for v in scenario.vortices]
-        blocks = [np.array(explicit).reshape(-1, 3)]
-    strengths = [float(v["strength"]) for v in scenario.vortices]
-
-    for spec in scenario.samplers:
-        rng = np.random.default_rng(spec.seed)
-        if scenario.geometry == PLANE:
-            pts = _sample_plane(spec, rng)
-        elif scenario.geometry == SPHERE:
-            pts = _sample_sphere(spec, rng)
-        else:
-            tri, st = sample_points(atlas.sphere_mesh, face_areas(mesh), spec.count, spec.seed)
-            pts = normalize_rows(position_of(atlas.sphere_mesh, tri, st))
-        w = _strength_values(spec.strength, spec.count, rng)
-        blocks.append(pts)
-        strengths.extend(w.tolist())
-
-    pos = np.concatenate(blocks)
-    w = np.array(strengths, dtype=np.float64)
-    total = math.fsum(w)
-    unbalanced = abs(total) > 1e-12 * max(math.fsum(np.abs(w)), 1.0)
-    if unbalanced and scenario.balance_mode == "reject":
-        raise ScenarioError(f"total vorticity {total:g} must vanish (balance: reject)")
-    if unbalanced and scenario.balance_mode == "counter_vortex":
-        spec = scenario.counter_position
-        if scenario.geometry == CLOSED_SURFACE:
-            if isinstance(spec, dict):
-                counter = _mesh_positions([spec], atlas)[0]
-            else:
-                tri, st = atlas.locator.locate(normalize_rows(np.asarray(spec, dtype=np.float64)))
-                counter = normalize_rows(position_of(atlas.sphere_mesh, tri, st))[0]
-        else:
-            counter = _flat_position(spec, scenario.geometry)
-        pos = np.concatenate([pos, counter[None, :]])
-        w = np.concatenate([w, [-total]])
-
+        tri, st = zip(*(_locate(record, atlas) for record in scenario.locations))
+        positions = normalize_rows(position_of(atlas.sphere_mesh, np.concatenate(tri),
+                                               np.concatenate(st)))
     try:
-        system = VortexSystem(scenario.geometry, pos, w)
+        system = VortexSystem(scenario.geometry, positions, scenario.strengths)
     except SurfVortError as exc:
         raise ScenarioError(f"invalid vortex system: {exc}") from exc
-
-    return PreparedRun(
-        scenario=scenario,
-        system=system,
-        atlas=atlas,
-        mesh=mesh,
-    )
+    return PreparedRun(system=system, atlas=atlas)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from surfvort import (
     SingularityError,
     VortexSystem,
     VorticityBalanceError,
-    balance_vorticity,
     energy_diagnostics,
     green_plane,
     green_sphere,
@@ -632,30 +631,6 @@ class TestMetricHamiltonian:
                                                    metric_hamiltonian(surf, atlas))
         plain = random_plane_system(rng, 3)
         assert energy_diagnostics(plain) == (kinetic_energy(plain), None)
-
-
-class TestBalance:
-    def test_balanced_input_passes_through(self):
-        system = plane_system([[1, 0, 0], [-1, 0, 0]], [1.0, -1.0])
-        assert balance_vorticity(system, "reject") is system
-        assert balance_vorticity(system, "counter_vortex", [0, 5, 0]) is system
-
-    def test_counter_vortex_appended(self):
-        system = plane_system([[1, 0, 0], [0, 1, 0], [-1, 0, 0]], [0.5, 0.25, 0.75])
-        balanced = balance_vorticity(system, "counter_vortex", [0.0, -3.0])
-        assert len(balanced) == 4
-        assert balanced.strengths[-1] == -1.5
-        assert balanced.total_strength == 0.0
-
-    def test_reject_mode_raises(self):
-        system = plane_system([[1, 0, 0], [-1, 0, 0]], [1.0, 0.0])
-        with pytest.raises(VorticityBalanceError):
-            balance_vorticity(system, "reject")
-
-    def test_counter_on_existing_vortex_rejected(self):
-        system = plane_system([[1, 0, 0], [-1, 0, 0]], [1.0, 1.0])
-        with pytest.raises(SingularityError):
-            balance_vorticity(system, "counter_vortex", [1.0, 0.0])
 
 
 class TestVortexSystem:

@@ -12,6 +12,7 @@ from surfvort.cli import main
 from surfvort.errors import ScenarioError, SingularityError
 from surfvort.integrator import RunResult, run
 from surfvort.numerics import BLOCK_ROWS, write_rows
+from surfvort import scenario as scenario_module
 from surfvort.scenario import build_run, load_scenario, parse_scenario, presets
 from surfvort.shapes import ellipsoid, icosphere
 
@@ -32,6 +33,21 @@ PAIR_SCENARIO = {
     ],
     "integrator": {"dt": 0.01, "steps": 50},
 }
+
+# A balanced pair on the ico.obj mesh some tests write next to the scenario.
+MESH_PAIR = dict(PAIR_SCENARIO, geometry={"mesh": "ico.obj"}, vortices=[
+    {"nearest": [0, 0, 1], "strength": 1.0},
+    {"nearest": [0, 0, -1], "strength": -1.0},
+])
+
+
+def plane_doc(points, strengths, balance):
+    return {
+        "geometry": "plane",
+        "vortices": [{"position": p, "strength": w} for p, w in zip(points, strengths)],
+        "balance": balance,
+        "integrator": {"dt": 0.01, "steps": 1},
+    }
 
 
 class TestScenarioParsing:
@@ -70,10 +86,10 @@ class TestScenarioParsing:
             "vortices": [{"nearest": [0, 0, 1], "strength": 1.0}],
             "integrator": {"dt": 0.01, "steps": 1},
         }
-        scenario = load_scenario(write_scenario(tmp_path, doc))
-        assert scenario.balance_mode == "reject"
-        with pytest.raises(ScenarioError):
-            build_run(scenario)
+        with pytest.raises(ScenarioError, match="must vanish"):
+            load_scenario(write_scenario(tmp_path, doc))
+        doc["vortices"].append({"nearest": [0, 0, -1], "strength": -1.0})
+        assert load_scenario(write_scenario(tmp_path, doc)).balance_mode == "reject"
 
     def test_counter_vortex_balancing(self, tmp_path):
         mesh_path = tmp_path / "ico.obj"
@@ -132,9 +148,35 @@ class TestScenarioParsing:
              vortices=[{"triangle": 0, "strength": 1.0}]),
         dict(PAIR_SCENARIO, geometry={"mesh": "ico.obj"}, balance={"counter_vortex": [0, 0, 0]},
              vortices=[{"nearest": [0, 0, 1], "strength": 1.0}]),
+        dict(MESH_PAIR, sampler={"count": 2, "strength": {"law": "weird"}}),
+        dict(MESH_PAIR, sampler={"count": 2, "strength": {"law": "uniform", "low": "x"}}),
+        dict(PAIR_SCENARIO, sampler={"count": 2, "strength": {"law": "uniform", "low": 2}}),
+        dict(MESH_PAIR, vortices=MESH_PAIR["vortices"][:1]),
+        dict(MESH_PAIR, balance="none", vortices=MESH_PAIR["vortices"][:1]),
+        dict(MESH_PAIR, vortices=[{"triangle": 3, "bary": [0.8, 0.5], "strength": 1.0},
+                                  MESH_PAIR["vortices"][1]]),
+        dict(MESH_PAIR, vortices=[{"triangle": -1, "bary": [0.2, 0.2], "strength": 1.0},
+                                  MESH_PAIR["vortices"][1]]),
+        dict(PAIR_SCENARIO, sampler={"count": 2, "seed": -1}),
+        dict(MESH_PAIR, sampler={"count": 2, "seed": -1}),
+        dict(MESH_PAIR, outputs={"field_grid": {"kind": "surface_samples", "count": 5,
+                                                "seed": -2}}),
+        dict(PAIR_SCENARIO, sampler={"count": 4, "region": {"disk": {"center": [0, 0],
+                                                                     "radius": -0.5}}}),
+        dict(PAIR_SCENARIO, sampler={"count": 4, "region": {"box": [1, 0, -1, 1]}}),
+        dict(PAIR_SCENARIO, geometry="sphere", vortices=[],
+             sampler={"count": 4, "region": {"cap": {"center": [0, 0, 1], "angle": -1}}}),
+        dict(PAIR_SCENARIO, geometry="sphere", vortices=[],
+             sampler={"count": 4, "region": {"cap": {"center": [0, 0, 1], "angle": 3.5}}}),
+        dict(PAIR_SCENARIO, vortices=[], sampler={"count": 0}),
     ], ids=["conformal_number", "outputs_list", "short_box", "zero_sphere_vortex",
             "disk_no_radius", "zero_cap_center", "strength_number", "position_text",
-            "short_counter", "mesh_short_nearest", "mesh_no_bary", "mesh_zero_counter"])
+            "short_counter", "mesh_short_nearest", "mesh_no_bary", "mesh_zero_counter",
+            "mesh_strength_law", "mesh_strength_low_text", "uniform_low_above_high",
+            "mesh_reject_imbalance", "mesh_none_imbalance", "mesh_bary_outside",
+            "mesh_negative_triangle", "negative_seed", "mesh_negative_seed",
+            "negative_grid_seed", "negative_radius", "reversed_box", "negative_cap_angle",
+            "cap_angle_above_pi", "no_vortices"])
     def test_malformed_scenario_fails_before_compute(self, tmp_path, doc, monkeypatch, capsys):
         import surfvort.cli as cli_mod
 
@@ -162,8 +204,9 @@ class TestScenarioParsing:
         {"kind": "surface_samples", "count": 10},
         {"kind": "hexagons"},
         [1, 2],
+        {"kind": "sphere_grid", "n_polar": 10**9, "n_azimuth": 10**9},
     ], ids=["no_xmax", "negative_nx", "no_radius", "radius_text", "short_center",
-            "no_n_azimuth", "samples_on_plane", "unknown_kind", "not_object"])
+            "no_n_azimuth", "samples_on_plane", "unknown_kind", "not_object", "huge"])
     def test_bad_field_grid_fails_before_compute(self, tmp_path, grid, monkeypatch):
         import surfvort.cli as cli_mod
 
@@ -180,6 +223,57 @@ class TestScenarioParsing:
         scn = write_scenario(tmp_path, PAIR_SCENARIO, name="plain.json")
         assert main(["field", scn, "--grid", json.dumps(grid), "--out", str(out)]) == 1
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("bound, at_bound, over", [
+        ("MAX_VORTICES", {"samplers": [{"count": 9000}, {"count": 998}]},
+         {"samplers": [{"count": 9000}, {"count": 999}]}),
+        ("MAX_RECORDS", {"integrator": {"dt": 0.01, "steps": 9_999_999}},
+         {"integrator": {"dt": 0.01, "steps": 10_000_000}}),
+        ("MAX_FIELD_POINTS",
+         {"outputs": {"field_grid": {"kind": "sphere_grid", "n_polar": 1000, "n_azimuth": 1000}}},
+         {"outputs": {"field_grid": {"kind": "sphere_grid", "n_polar": 1000, "n_azimuth": 1001}}}),
+        ("MAX_FIELD_PAIRS",
+         {"sampler": {"count": 98},
+          "outputs": {"field_grid": {"kind": "ring", "radius": 2.0, "count": 10**6}}},
+         {"sampler": {"count": 99},
+          "outputs": {"field_grid": {"kind": "ring", "radius": 2.0, "count": 10**6}}}),
+    ])
+    def test_resource_bounds(self, bound, at_bound, over):
+        # parsing alone: nothing the bounds guard is allocated
+        assert getattr(scenario_module, bound) > 0
+        parse_scenario(dict(PAIR_SCENARIO, **at_bound))
+        with pytest.raises(ScenarioError, match=bound):
+            parse_scenario(dict(PAIR_SCENARIO, **over))
+
+
+class TestBalance:
+    """Vorticity balance, which parsing settles and `build_run` applies."""
+
+    def test_balanced_input_passes_through(self):
+        for balance in ("reject", {"counter_vortex": [0.0, 5.0]}):
+            doc = plane_doc([[1, 0], [-1, 0]], [1.0, -1.0], balance)
+            system = build_run(parse_scenario(doc)).system
+            assert len(system) == 2 and system.total_strength == 0.0
+
+    def test_counter_vortex_appended(self):
+        doc = plane_doc([[1, 0], [0, 1], [-1, 0]], [0.5, 0.25, 0.75],
+                        {"counter_vortex": [0.0, -3.0]})
+        system = build_run(parse_scenario(doc)).system
+        assert len(system) == 4
+        assert system.strengths[-1] == -1.5
+        assert system.positions[-1].tolist() == [0.0, -3.0, 0.0]
+        assert system.total_strength == 0.0
+
+    def test_reject_mode_raises(self):
+        with pytest.raises(ScenarioError, match="total vorticity 1 must vanish"):
+            parse_scenario(plane_doc([[1, 0], [-1, 0]], [1.0, 0.0], "reject"))
+
+    def test_counter_on_existing_vortex_rejected(self):
+        doc = plane_doc([[1, 0], [-1, 0]], [1.0, 1.0], {"counter_vortex": [1.0, 0.0]})
+        scenario = parse_scenario(doc)
+        with pytest.raises(ScenarioError, match="vortices 0 and 2 are separated"):
+            build_run(scenario)
 
 
 class TestRunCommand:
