@@ -29,11 +29,11 @@ from .dynamics import (
     VortexSystem,
     vorticity_imbalance,
 )
-from .errors import LocationError, ScenarioError, SurfVortError
+from .errors import ScenarioError, SurfVortError
 from .integrator import IntegratorConfig
 from .mesh import TriangleMesh, face_areas, load_obj
 from .numerics import normalize_rows
-from .transport import clamp_bary, position_of, sample_points
+from .transport import BARY_SLACK, clamp_bary, position_of, sample_points
 
 FloatArray = NDArray[np.float64]
 
@@ -79,7 +79,7 @@ class Scenario:
 
     `positions` holds the plane or sphere positions. On meshes `locations`
     holds a record per explicit vortex, sampler and counter vortex:
-    ``("triangle", index, st)`` with st the clamped (1, 2) barycentrics,
+    ``("triangle", index, (s, t))`` with (s, t) in the simplex,
     ``("nearest", anchor)``, ``("sphere", unit point)`` to locate on the
     sphere image, or ``("samples", count, seed)``.
     """
@@ -184,11 +184,10 @@ def _mesh_location(spec) -> tuple:
         return "nearest", np.array(_numbers(spec["nearest"], 3, "vortex nearest"))
     triangle = _number(spec["triangle"], "vortex triangle", int, 0)
     _require(triangle < 2**63, "vortex triangle must be < 2**63")
-    bary = _numbers(spec["bary"], 2, "vortex bary")
-    try:
-        return "triangle", triangle, clamp_bary(bary)
-    except LocationError:
-        raise ScenarioError(f"vortex bary {bary} must have s, t >= 0 and s + t <= 1") from None
+    s, t = _numbers(spec["bary"], 2, "vortex bary")
+    _require(min(s, t) >= -BARY_SLACK and s + t <= 1.0 + BARY_SLACK,  # as `clamp_bary` allows
+             "vortex bary [s, t] must have s, t >= 0 and s + t <= 1")
+    return "triangle", triangle, (s, t)
 
 
 def _strength_law(spec) -> tuple[str, float, float]:
@@ -290,7 +289,7 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
     if "sampler" in obj:
         samplers = [obj["sampler"]] + samplers
 
-    strengths, places = [], []   # places: (k, 3) flat positions, or mesh location records
+    strengths, places = [], []   # places: flat positions (rows or blocks), or mesh records
     for v in vortices:
         _require(isinstance(v, dict) and "strength" in v, "each vortex needs a strength")
         strengths.append([_number(v["strength"], "vortex strength")])
@@ -414,7 +413,7 @@ def _locate(record: tuple, atlas: ConformalAtlas):
     mesh = atlas.source_mesh
     kind, *value = record
     if kind == "triangle":
-        return np.array(value[:1], dtype=np.int64), value[1]
+        return np.array(value[:1], dtype=np.int64), clamp_bary(value[1])
     if kind == "samples":
         return sample_points(atlas.sphere_mesh, face_areas(mesh), *value)
     if kind == "sphere":

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from surfvort import save_obj
+from surfvort import scenario as scenario_module
 from surfvort.cli import main
 from surfvort.errors import ScenarioError, SingularityError
 from surfvort.integrator import RunResult, run
 from surfvort.numerics import BLOCK_ROWS, write_rows
-from surfvort import scenario as scenario_module
 from surfvort.scenario import build_run, load_scenario, parse_scenario, presets
 from surfvort.shapes import ellipsoid, icosphere
 
@@ -223,7 +223,6 @@ class TestScenarioParsing:
         scn = write_scenario(tmp_path, PAIR_SCENARIO, name="plain.json")
         assert main(["field", scn, "--grid", json.dumps(grid), "--out", str(out)]) == 1
         assert not out.exists()
-
 
     @pytest.mark.parametrize("bound, at_bound, over", [
         ("MAX_VORTICES", {"samplers": [{"count": 9000}, {"count": 998}]},
