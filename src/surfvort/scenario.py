@@ -239,6 +239,7 @@ def _sample_flat(region, geometry: str, count: int, rng: np.random.Generator) ->
                      "disk region needs a center and a radius")
             cx, cy = _numbers(disk["center"], 2, "disk center")
             radius = _number(disk["radius"], "disk radius", minimum=0)
+            _require(math.isfinite(abs(cx) + abs(cy) + radius), "disk region must stay finite")
             r = radius * np.sqrt(rng.random(count))
             phi = 2.0 * np.pi * rng.random(count)
             x, y = cx + r * np.cos(phi), cy + r * np.sin(phi)

@@ -163,6 +163,8 @@ class TestScenarioParsing:
                                                 "seed": -2}}),
         dict(PAIR_SCENARIO, sampler={"count": 4, "region": {"disk": {"center": [0, 0],
                                                                      "radius": -0.5}}}),
+        dict(PAIR_SCENARIO, sampler={"count": 4, "region": {"disk": {"center": [1e308, 0],
+                                                                     "radius": 1e308}}}),
         dict(PAIR_SCENARIO, sampler={"count": 4, "region": {"box": [1, 0, -1, 1]}}),
         dict(PAIR_SCENARIO, geometry="sphere", vortices=[],
              sampler={"count": 4, "region": {"cap": {"center": [0, 0, 1], "angle": -1}}}),
@@ -175,7 +177,7 @@ class TestScenarioParsing:
             "mesh_strength_law", "mesh_strength_low_text", "uniform_low_above_high",
             "mesh_reject_imbalance", "mesh_none_imbalance", "mesh_bary_outside",
             "mesh_negative_triangle", "negative_seed", "mesh_negative_seed",
-            "negative_grid_seed", "negative_radius", "reversed_box", "negative_cap_angle",
+            "negative_grid_seed", "negative_radius", "overflowing_disk", "reversed_box", "negative_cap_angle",
             "cap_angle_above_pi", "no_vortices"])
     def test_malformed_scenario_fails_before_compute(self, tmp_path, doc, monkeypatch, capsys):
         import surfvort.cli as cli_mod
