@@ -302,12 +302,11 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
         n += count
         _bounded(n, MAX_VORTICES, "vortex count (MAX_VORTICES)")
         seed = _number(s.get("seed", 0), "sampler seed", int, 0)
-        law = _strength_law(s.get("strength", {"law": "constant", "value": 1.0}))
+        law, a, b = _strength_law(s.get("strength", {"law": "constant", "value": 1.0}))
         rng = np.random.default_rng(seed)
         places.append(("samples", count, seed) if on_mesh
                       else _sample_flat(s.get("region"), geometry, count, rng))
-        strengths.append(np.full(count, law[1]) if law[0] == "constant"
-                         else rng.uniform(law[1], law[2], count))
+        strengths.append(np.full(count, a) if law == "constant" else rng.uniform(a, b, count))
     _require(n > 0, "scenario must define at least one vortex")
 
     balance = obj.get("balance", "reject" if on_mesh else "none")
