@@ -8,17 +8,30 @@ self term driven by the factor's surface gradient.
 
 Every pass over target-source pairs (velocity and field sums, stream function,
 energy, separation and field-distance guards) runs over blocks of target rows
-of at most ``PAIR_BLOCK_PAIRS`` pairs each, through one loop, ``_row_blocks``,
-so its temporaries are (rows, n) rather than (m, n). A block computes its rows
-with the same operations as a whole-matrix pass and sums along the same
-contiguous source axis, so velocities, stream function and guard distances
-are bit-identical at any block size. For that, the sphere dot products stay
-one matrix product over all targets, the only (m, n) array left: a BLAS
-product over some rows need not give the same bits as those rows of a whole
-product. The energy is not bit-identical across block sizes: it is the exact
-sum of per-block partials, each the exact sum of the block's own pairs plus a
-plain sum of its pairs with later vortices. With one block that is the
-exactly rounded pair sum; with more it may differ from it in the last bits.
+of at most ``PAIR_BLOCK_PAIRS`` pairs each, through one loop, ``_row_blocks``;
+only the sphere's field distance, one reduction of the dot products with no
+temporaries, needs no blocks. A pass allocates one workspace of a few (rows, n) planes per call, and every
+block writes its temporaries into it through ufunc ``out=`` arguments, so a
+block allocates nothing of size (rows, n). A block computes its rows with the
+same operations as a whole-matrix pass and sums along the same contiguous
+source axis, so velocities, stream function and guard distances are
+bit-identical at any block size. For that, the sphere dot products stay one
+matrix product over all targets, the only (m, n) array left: a BLAS product
+over some rows need not give the same bits as those rows of a whole product.
+The energy is not bit-identical across block sizes: it is the exact sum of
+per-block partials, each the exact sum of the block's own pairs plus a plain
+sum of its pairs with later vortices. With one block that is the exactly
+rounded pair sum; with more it may differ from it in the last bits.
+
+Distances are built as squared distances from per-component (rows, n)
+arrays: Euclidean on the plane, which reads only x and y, and the chord on
+the sphere. Every guard compares them with the squared guard of `kernels`
+(``EPS_PLANE_SQ``, ``EPS_CHORD_SQ``), and only a pass that returns distances
+takes a square root or an arccos, of the nearest entry of each row. The
+sphere velocity sums keep the dot-product gap 1 - x.p; where a block's
+largest dot leaves a gap of at most ``RESOLVABLE_GAP``, those few pairs are
+re-measured as squared chords c^2: the guard reads them, and their gap
+becomes c^2 / 2, which it equals on the unit sphere.
 """
 
 from __future__ import annotations
@@ -30,7 +43,16 @@ from numpy.typing import NDArray
 
 from .conformal import ConformalAtlas
 from .errors import SingularityError, VorticityBalanceError
-from .kernels import EPS_SEPARATION, green_plane, green_sphere
+from .kernels import (
+    EPS_CHORD_SQ,
+    EPS_PLANE_SQ,
+    EPS_SEPARATION,
+    check_squared_separation,
+    green_of_squared,
+    green_plane,
+    green_sphere,
+    squared_distance,
+)
 from .numerics import readonly
 from .transport import position_of
 
@@ -54,16 +76,50 @@ DEFAULT_SELF_TERM_SIGN = +1
 # of 20,000 points over 5 vortices is one block, not 157 blocks of 640 pairs.
 PAIR_BLOCK_PAIRS = 128 * 1024
 
+# A sphere block whose largest dot product leaves a gap 1 - x.p at or below
+# this re-measures those pairs as chords. The dot product has an absolute
+# error of about 1e-16, so such a gap has lost at least four digits, and a
+# pair inside the guard may not read a gap of 0; a chord keeps its relative
+# accuracy down to any separation.
+RESOLVABLE_GAP = 1e-12
 
-def _row_blocks(m: int, n: int):
+
+def _row_blocks(m: int, n: int, planes: int = 0):
     """(start, stop) bounds of consecutive target-row blocks covering range(m).
 
     A block has at most PAIR_BLOCK_PAIRS pairs with the n sources, and at
-    least one row.
+    least one row. Given `planes`, each block is (start, stop, ws) instead,
+    ws its (planes, stop - start, n) part of one workspace that the pass
+    allocates here, once.
     """
     rows = max(1, PAIR_BLOCK_PAIRS // n)
+    workspace = np.empty((planes, min(rows, m), n)) if planes else None
     for start in range(0, m, rows):
-        yield start, min(start + rows, m)
+        stop = min(start + rows, m)
+        if workspace is None:
+            yield start, stop
+        elif stop - start == workspace.shape[1]:
+            yield start, stop, workspace
+        else:
+            yield start, stop, workspace[:, :stop - start]
+
+
+def _squared_distances(tgt: FloatArray, src: FloatArray, ws: FloatArray) -> FloatArray:
+    """|x - p|^2 between targets tgt (c, rows) and sources src (c, k), as a (rows, k) view of ws.
+
+    tgt and src hold one coordinate per row: x and y on the plane, x, y and z
+    on the sphere, which are summed in that order as in
+    `kernels.squared_distance`. The differences are squared in place in the
+    first c planes of the block workspace ws, and the result is the first.
+    """
+    c = tgt.shape[0]
+    d = ws[:c, :, :src.shape[1]]
+    np.subtract(tgt[:, :, None], src[:, None, :], out=d)
+    np.multiply(d, d, out=d)
+    r2 = np.add(d[0], d[1], out=d[0])
+    if c == 3:
+        r2 += d[2]
+    return r2
 
 
 def _fill_self_pairs(block: FloatArray, start: int, value: float) -> None:
@@ -75,15 +131,9 @@ def _fill_self_pairs(block: FloatArray, start: int, value: float) -> None:
     block.flat[start::block.shape[1] + 1] = value
 
 
-def _by_row_blocks(rows, m: int, n: int) -> FloatArray:
-    """`rows(start, stop)` of every block of m targets over n sources, stacked.
-
-    A pass of at most PAIR_BLOCK_PAIRS pairs (zero targets included) is one
-    call whose result is returned as it is, so small systems pay no stacking.
-    """
-    if m * n <= PAIR_BLOCK_PAIRS:
-        return rows(0, m)
-    return np.concatenate([rows(start, stop) for start, stop in _row_blocks(m, n)])
+def _coordinate_rows(points: FloatArray, geometry: str) -> FloatArray:
+    """The points' coordinates as rows: (2, m) x and y on the plane, (3, m) elsewhere."""
+    return points.T[:2] if geometry == PLANE else points.T
 
 
 class VortexSystem:
@@ -143,21 +193,20 @@ class VortexSystem:
 def _min_separation_check(geometry: str, pos: FloatArray) -> None:
     """Raise if two vortices are closer than the guard, naming the closest pair.
 
-    The pair is the first (row-major) minimum of the whole distance matrix:
-    a later block replaces the best pair only with a strictly smaller distance.
+    The pair is the first (row-major) minimum of the whole matrix of squared
+    distances: a later block replaces the best pair only with a strictly
+    smaller one.
     """
     n = pos.shape[0]
+    pts = _coordinate_rows(pos, geometry)
     closest, pair = np.inf, None
-    for start, stop in _row_blocks(n, n):
-        dist = np.linalg.norm(pos[start:stop, None, :] - pos[None, :, :], axis=2)
-        _fill_self_pairs(dist, start, np.inf)
-        if geometry != PLANE:
-            # chord -> angle; guard threshold is angular on the sphere
-            dist = 2.0 * np.arcsin(np.clip(dist / 2.0, 0.0, 1.0))
-        k = int(np.argmin(dist))
-        if dist.flat[k] < closest:
-            closest, pair = dist.flat[k], (start + k // n, k % n)
-    if closest < EPS_SEPARATION:
+    for start, stop, ws in _row_blocks(n, n, pts.shape[0]):
+        r2 = _squared_distances(pts[:, start:stop], pts, ws)
+        _fill_self_pairs(r2, start, np.inf)
+        k = int(np.argmin(r2))
+        if r2.flat[k] < closest:
+            closest, pair = r2.flat[k], (start + k // n, k % n)
+    if closest < (EPS_PLANE_SQ if geometry == PLANE else EPS_CHORD_SQ):
         i, j = pair
         raise SingularityError(f"vortices {i} and {j} are separated by less than {EPS_SEPARATION:g}")
 
@@ -180,6 +229,10 @@ def _require_balanced(strengths: FloatArray) -> None:
 # Pairwise interaction sums (vectorized over the target index)
 # ---------------------------------------------------------------------------
 
+# scales the (x, y) coordinate rows to (x, -y)
+_FLIP_Y = np.array([[1.0], [-1.0]])
+
+
 def _plane_pair_sum(targets: FloatArray, sources: FloatArray, strengths: FloatArray,
                     exclude_diagonal: bool) -> FloatArray:
     """sum_i w_i * (n x (x - p_i)) / |x - p_i|^2 over sources, for each target.
@@ -188,22 +241,25 @@ def _plane_pair_sum(targets: FloatArray, sources: FloatArray, strengths: FloatAr
     plain sum along the contiguous source axis. With `exclude_diagonal`
     the targets are the sources and target j skips source j.
     """
-    def rows(start, stop):
-        dx = targets[start:stop, 0, None] - sources[None, :, 0]     # (rows, n)
-        dy = targets[start:stop, 1, None] - sources[None, :, 1]
-        r2 = dx * dx + dy * dy
+    m, n = targets.shape[0], sources.shape[0]
+    # (x, -y) rows, so that one subtraction gives (dx, -dy) and the sums
+    # come out as (u_y, u_x): negation is exact and commutes with the sum
+    src = sources.T[:2] * _FLIP_Y                                   # (2, n)
+    tgt = (src if targets is sources else targets.T[:2] * _FLIP_Y)[:, :, None]
+    src = src[:, None, :]
+    out = np.zeros((m, 3))
+    for start, stop, ws in _row_blocks(m, n, 4):
+        d, sq = ws[:2], ws[2:]
+        np.subtract(tgt[:, start:stop], src, out=d)                 # (dx, -dy)
+        r2 = np.multiply(d, d, out=sq)[0]
+        r2 += sq[1]
         if exclude_diagonal:
             _fill_self_pairs(r2, start, np.inf)
-        if np.sqrt(r2.min(initial=np.inf)) < EPS_SEPARATION:
+        if r2.min(initial=np.inf) < EPS_PLANE_SQ:
             raise SingularityError("evaluation point closer than the singularity guard to a vortex")
-        # w / r^2 * (-dy, dx, 0)
-        c = strengths / r2
-        out = np.zeros((stop - start, 3))
-        out[:, 0] = -(dy * c).sum(axis=1)
-        out[:, 1] = (dx * c).sum(axis=1)
-        return out
-
-    return _by_row_blocks(rows, targets.shape[0], sources.shape[0])
+        d *= np.divide(strengths, r2, out=r2)                       # w / r^2 * (dx, -dy)
+        d.sum(axis=2, out=out[start:stop, 1::-1].T)
+    return out
 
 
 # component rows k+1 then k+2 (mod 3), for the written-out cross product
@@ -219,27 +275,35 @@ def _sphere_pair_sum(targets: FloatArray, sources: FloatArray, strengths: FloatA
     along the contiguous source axis. (Factoring the sum as
     x cross sum_i c_i p_i is cheaper but loses accuracy to cancellation as n
     grows.) The dot products are one product over all targets, so they do
-    not depend on the block size; the rest runs block by block.
+    not depend on the block size; the rest runs block by block. Pairs whose
+    gap 1 - x . p is at most RESOLVABLE_GAP are re-measured as chords.
     """
+    m, n = targets.shape[0], sources.shape[0]
     dots = targets @ sources.T                                      # (m, n)
     src = sources.T[_CYCLIC]                                        # (6, n)
     tgt = src if targets is sources else targets.T[_CYCLIC]         # (6, m)
     s = src[:, None, :]
-
-    def rows(start, stop):
-        d = dots[start:stop]
-        d.clip(-1.0, 1.0, out=d)
+    out = np.empty((3, m))
+    for start, stop, ws in _row_blocks(m, n, 6):
+        # 1 - x . p with the dot clamped to [-1, 1], over the block's dots: a
+        # dot above 1 leaves a negative gap, which the chords below replace
+        gap = dots[start:stop]
+        np.subtract(1.0, gap, out=gap)
         if exclude_diagonal:
-            _fill_self_pairs(d, start, -1.0)
-        if np.arccos(d.max(initial=-1.0)) < EPS_SEPARATION:
-            raise SingularityError("evaluation point closer than the singularity guard to a vortex")
+            _fill_self_pairs(gap, start, 2.0)
+        np.minimum(gap, 2.0, out=gap)
+        if gap.min() <= RESOLVABLE_GAP:
+            i, j = np.nonzero(gap <= RESOLVABLE_GAP)
+            c2 = squared_distance(targets[start + i], sources[j])
+            if c2.min() < EPS_CHORD_SQ:
+                raise SingularityError("evaluation point closer than the singularity guard to a vortex")
+            gap[i, j] = 0.5 * c2
         t = tgt[:, start:stop, None]                                # (6, rows, 1)
-        cross = t[:3] * s[3:]
-        cross -= t[3:] * s[:3]                                      # (3, rows, n)
-        cross *= strengths / (1.0 - d)
-        return cross.sum(axis=2).T
-
-    return _by_row_blocks(rows, targets.shape[0], sources.shape[0])
+        cross = np.multiply(t[:3], s[3:], out=ws[:3])
+        cross -= np.multiply(t[3:], s[:3], out=ws[3:])                # (3, rows, n)
+        cross *= np.divide(strengths, gap, out=gap)
+        cross.sum(axis=2, out=out[:, start:stop])
+    return out.T
 
 
 def _require_geometry(system: VortexSystem, geometry: str) -> None:
@@ -345,37 +409,50 @@ def stream_function(x, system: VortexSystem) -> float | FloatArray:
     """
     if system.geometry == CLOSED_SURFACE:
         raise ValueError("stream function is unsupported on closed surfaces")
-    green = green_plane if system.geometry == PLANE else green_sphere
+    sphere = system.geometry == SPHERE
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-
-    def rows(start, stop):
-        terms = system.strengths[None, :] * green(pts[start:stop, None, :],
-                                                  system.positions[None, :, :])
-        return terms.sum(axis=1)
-
-    psi = _by_row_blocks(rows, pts.shape[0], len(system))
+    tgt = _coordinate_rows(pts, system.geometry)
+    src = _coordinate_rows(system.positions, system.geometry)
+    m, n = pts.shape[0], len(system)
+    psi = np.empty(m)
+    for start, stop, ws in _row_blocks(m, n, tgt.shape[0]):
+        r2 = _squared_distances(tgt[:, start:stop], src, ws)
+        check_squared_separation(r2, sphere)
+        terms = green_of_squared(r2, sphere, out=r2)
+        terms *= system.strengths
+        terms.sum(axis=1, out=psi[start:stop])
     return float(psi[0]) if single else psi
 
 
 def nearest_vortex_distance(x, system: VortexSystem) -> FloatArray:
     """Distance from each point of x (m, 3) to its nearest vortex.
 
-    Euclidean on the plane; angular, arccos of the clamped dot product, on the
-    sphere and on a closed surface's sphere image.
+    Euclidean on the plane, the square root of the least squared distance.
+    Angular on the sphere and on a closed surface's sphere image: arccos of
+    the largest dot product, clamped to [-1, 1]. A row whose largest dot
+    leaves a gap of at most RESOLVABLE_GAP is re-measured from its squared
+    chords c^2 to those vortices, as the angle 2 arcsin(c / 2) of the least.
     """
     pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    m, n = pts.shape[0], len(system)
     if system.geometry == PLANE:
-        def rows(start, stop):
-            diff = pts[start:stop, None, :] - system.positions[None, :, :]
-            return np.linalg.norm(diff, axis=2).min(axis=1)
-    else:
-        dots = pts @ system.positions.T
-
-        def rows(start, stop):
-            return np.arccos(dots[start:stop].clip(-1.0, 1.0)).min(axis=1)
-    return _by_row_blocks(rows, pts.shape[0], len(system))
+        tgt, src = _coordinate_rows(pts, PLANE), _coordinate_rows(system.positions, PLANE)
+        least = np.empty(m)
+        for start, stop, ws in _row_blocks(m, n, 2):
+            _squared_distances(tgt[:, start:stop], src, ws).min(axis=1, out=least[start:stop])
+        return np.sqrt(least)
+    dots = pts @ system.positions.T
+    best = dots.max(axis=1, initial=-1.0)
+    dist = np.arccos(best.clip(-1.0, 1.0))
+    near = np.flatnonzero(1.0 - best <= RESOLVABLE_GAP)
+    if near.size:
+        i, j = np.nonzero(1.0 - dots[near] <= RESOLVABLE_GAP)
+        least = np.full(near.size, np.inf)
+        np.minimum.at(least, i, squared_distance(pts[near[i]], system.positions[j]))
+        dist[near] = 2.0 * np.arcsin(0.5 * np.sqrt(least))
+    return dist
 
 
 def kinetic_energy(system: VortexSystem) -> float:
@@ -390,17 +467,23 @@ def kinetic_energy(system: VortexSystem) -> float:
     n = len(system)
     if n < 2:
         return 0.0
-    green = green_plane if system.geometry == PLANE else green_sphere
+    sphere = system.geometry != PLANE
+    green = green_sphere if sphere else green_plane
     pos, w = system.positions, system.strengths
+    pts = _coordinate_rows(pos, system.geometry)
     partials = []
-    for start, stop in _row_blocks(n, n):
+    for start, stop, ws in _row_blocks(n, n, pts.shape[0]):
         iu, ju = np.triu_indices(stop - start, k=1)
         iu += start
         ju += start
         partials.append(math.fsum(w[iu] * w[ju] * green(pos[iu], pos[ju])))
         if stop < n:
-            g = green(pos[start:stop, None, :], pos[None, stop:, :])
-            partials.append(((w[start:stop, None] * w[None, stop:]) * g).sum())
+            r2 = _squared_distances(pts[:, start:stop], pts[:, stop:], ws)
+            check_squared_separation(r2, sphere)
+            terms = green_of_squared(r2, sphere, out=r2)
+            terms *= w[start:stop, None]
+            terms *= w[stop:]
+            partials.append(terms.sum())
     return -math.fsum(partials)
 
 

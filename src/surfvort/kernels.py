@@ -5,9 +5,18 @@ Both kernels come with their symplectic gradients ``sgrad = n x grad``; the
 surface normal) is fixed throughout the package. All functions are pure,
 accept single points of shape (3,) or broadcastable stacks ``(..., 3)``, and
 raise :class:`SingularityError` for pairs closer than ``EPS_SEPARATION``.
+
+Every guard compares squared distances: ``|x - y|^2`` against
+``EPS_SEPARATION^2`` on the plane, and on the sphere the squared chord
+against the squared chord of the angle ``EPS_SEPARATION``,
+``(2 sin(EPS_SEPARATION / 2))^2``. Both Green's functions are the log of a
+squared distance, the sphere's through the chord ``|x - y| = 2 sin(d / 2)``
+of the angle d, so neither takes a square root, an arccos or an arcsin.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.typing import NDArray
@@ -19,6 +28,14 @@ FloatArray = NDArray[np.float64]
 # Pairs closer than this (Euclidean on the plane, angular on the sphere)
 # are treated as collisions rather than evaluated.
 EPS_SEPARATION = 1e-9
+# The same guard on squared distances: the plane's, and the squared chord
+# of the angle EPS_SEPARATION on the sphere.
+EPS_PLANE_SQ = EPS_SEPARATION ** 2
+EPS_CHORD_SQ = (2.0 * math.sin(0.5 * EPS_SEPARATION)) ** 2
+
+# A Green's function is this factor times the log of a squared distance:
+# -ln(r) / (2 pi) = -ln(r^2) / (4 pi).
+_GREEN_LOG_SCALE = -0.25 / math.pi
 
 PLANE_NORMAL = np.array([0.0, 0.0, 1.0])
 
@@ -32,29 +49,57 @@ def sphere_distance(x, y) -> FloatArray | float:
     return float(d) if d.ndim == 0 else d
 
 
-def _check_separation(sep, kind: str) -> None:
-    if np.any(sep < EPS_SEPARATION):
+def squared_distance(x, y) -> FloatArray:
+    """|x - y|^2 over the last axis, summed in the order x, y, z.
+
+    The pair passes of `dynamics` add their squared components in the same
+    order, so they get the same bits.
+    """
+    d = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
+    return np.asarray(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2])
+
+
+def green_of_squared(sq: FloatArray, sphere: bool, out: FloatArray) -> FloatArray:
+    """The plane or sphere Green's function of squared distances `sq`, into `out`.
+
+    Plane: -ln(r^2) / (4 pi). Sphere: -ln(c^2 / 4) / (4 pi) of the squared
+    chord c^2, which is -ln(sin(d / 2)) / (2 pi). `out` may be `sq`.
+    """
+    if sphere:
+        sq = np.multiply(sq, 0.25, out=out)
+    np.log(sq, out=out)
+    out *= _GREEN_LOG_SCALE
+    return out
+
+
+def check_squared_separation(sq: FloatArray, sphere: bool) -> None:
+    """Raise if a squared distance (a squared chord on the sphere) is inside the guard."""
+    if sq.min(initial=np.inf) < (EPS_CHORD_SQ if sphere else EPS_PLANE_SQ):
         raise SingularityError(
-            f"{kind} kernel evaluated at separation below {EPS_SEPARATION:g}"
+            f"{'spherical' if sphere else 'planar'} kernel evaluated at separation "
+            f"below {EPS_SEPARATION:g}"
         )
+
+
+def _green(x, y, sphere: bool) -> FloatArray | float:
+    sq = squared_distance(x, y)
+    check_squared_separation(sq, sphere)
+    g = green_of_squared(sq, sphere, out=np.empty_like(sq))
+    return float(g) if g.ndim == 0 else g
 
 
 def green_plane(x, y) -> FloatArray | float:
     """Planar Green's function -ln|x - y| / (2 pi); symmetric in its arguments."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    r = np.linalg.norm(x - y, axis=-1)
-    _check_separation(r, "planar")
-    g = -np.log(r) / (2.0 * np.pi)
-    return float(g) if g.ndim == 0 else g
+    return _green(x, y, sphere=False)
 
 
 def green_sphere(x, y) -> FloatArray | float:
-    """Unit-sphere Green's function -ln(sin(d/2)) / (2 pi) with d = arccos(x . y)."""
-    d = np.asarray(sphere_distance(x, y))
-    _check_separation(d, "spherical")
-    g = -np.log(np.sin(0.5 * d)) / (2.0 * np.pi)
-    return float(g) if g.ndim == 0 else g
+    """Unit-sphere Green's function -ln(sin(d/2)) / (2 pi) of the angle d.
+
+    Computed from the chord, sin(d / 2) = |x - y| / 2, which stays well
+    conditioned for near pairs, where arccos(x . y) does not.
+    """
+    return _green(x, y, sphere=True)
 
 
 def sgrad_green_plane(x, y) -> FloatArray:
@@ -65,20 +110,21 @@ def sgrad_green_plane(x, y) -> FloatArray:
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    d = x - y
-    r2 = np.sum(d * d, axis=-1)
-    _check_separation(np.sqrt(r2), "planar")
-    return np.cross(PLANE_NORMAL, d) / (2.0 * np.pi * r2[..., None])
+    r2 = squared_distance(x, y)
+    check_squared_separation(r2, sphere=False)
+    return np.cross(PLANE_NORMAL, x - y) / (2.0 * np.pi * r2[..., None])
 
 
 def sgrad_green_sphere(x, y) -> FloatArray:
     """Symplectic gradient of the sphere kernel at x: (x cross y) / (4 pi (1 - x.y)).
 
-    Tangent at x. The formula stays regular at antipodal pairs
-    (1 - x.y -> 2, x cross y -> 0); only near-coincident pairs raise.
+    Tangent at x. The gap 1 - x.y is taken as half the squared chord,
+    |x - y|^2 / 2, which it equals on the unit sphere and which keeps its
+    accuracy for near pairs. The formula stays regular at antipodal pairs
+    (gap -> 2, x cross y -> 0); only near-coincident pairs raise.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    dot = np.clip(np.sum(x * y, axis=-1), -1.0, 1.0)
-    _check_separation(np.arccos(dot), "spherical")
-    return np.cross(x, y) / (4.0 * np.pi * (1.0 - dot)[..., None])
+    c2 = squared_distance(x, y)
+    check_squared_separation(c2, sphere=True)
+    return np.cross(x, y) / (2.0 * np.pi * c2[..., None])

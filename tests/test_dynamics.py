@@ -5,6 +5,7 @@ import pytest
 
 from surfvort import (
     ConformalAtlas,
+    IntegratorConfig,
     SingularityError,
     VortexSystem,
     VorticityBalanceError,
@@ -30,9 +31,11 @@ from surfvort.dynamics import (
     SPHERE,
     SurfaceVelocityEvaluator,
     _row_blocks,
+    make_rhs,
     nearest_vortex_distance,
 )
-from surfvort.kernels import EPS_SEPARATION
+from surfvort.integrator import run
+from surfvort.kernels import EPS_SEPARATION, sgrad_green_sphere
 from surfvort.numerics import normalize_rows
 from surfvort.shapes import icosphere
 
@@ -156,6 +159,17 @@ class TestSphereField:
         u2 = sphere_field_velocity(x2, system)
         assert np.linalg.norm(u2) > 0
         assert abs(u2 @ x2) < 1e-12
+
+    def test_dot_below_minus_one_is_clamped(self):
+        # a field point 1e-14 off the sphere, nearly antipodal to a vortex:
+        # its dot product is below -1, and its gap is 2, as the whole-matrix
+        # pass clamps it
+        system = VortexSystem(SPHERE, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], [1.0, 2.0])
+        x = np.array([[1e-9, 2e-9, -(1.0 + 1e-14)]])
+        p, w = system.positions, system.strengths
+        assert (x @ p.T)[0, 0] < -1.0
+        assert np.array_equal(sphere_field_velocity(x, system),
+                              whole_sphere_pair_sum(x, p, w, False) / FOUR_PI)
 
 
 def fsum_plane_velocities(pos, w):
@@ -428,6 +442,76 @@ class TestBlockEdges:
         assert pair == (2, MB + 50) and dist == 2.0 ** -32
         with pytest.raises(SingularityError, match=f"vortices 2 and {MB + 50} "):
             VortexSystem(PLANE, pos, np.ones(M))
+
+
+def near_pair_positions():
+    """259 random unit vectors and an index k; the last vector is vortex k
+    moved 5e-10 rad along a tangent and renormalised.
+
+    The pair's dot product is just below 1, so 1 - x . p reads 1.1e-16
+    where the true gap is 1.25e-19, and arccos of the dot reads 1.5e-8 rad:
+    a guard on either sees no pair inside 1e-9.
+    """
+    rng = np.random.default_rng(9)
+    pos = normalize_rows(rng.normal(size=(259, 3)))
+    k = int(rng.integers(258))
+    t = np.cross(pos[k], rng.normal(size=3))
+    pos[-1] = normalize_rows(pos[k] + 5e-10 * t / np.linalg.norm(t))
+    return pos, k
+
+
+class TestSphereNearPairs:
+    """Pairs whose dot product cannot resolve their gap are measured as chords."""
+
+    def test_pair_dot_does_not_round_to_one(self):
+        pos, k = near_pair_positions()
+        dot = (pos @ pos.T)[k, -1]
+        assert dot < 1.0 and np.arccos(dot) > 10 * EPS_SEPARATION
+        assert np.linalg.norm(pos[k] - pos[-1]) < EPS_SEPARATION
+
+    def test_vortex_velocities_raise(self):
+        pos, k = near_pair_positions()
+        system = VortexSystem(SPHERE, pos, np.ones(len(pos)), check=False)
+        with pytest.raises(SingularityError, match="singularity guard"):
+            sphere_vortex_velocities(system)
+        with pytest.raises(SingularityError, match=f"vortices {k} and {len(pos) - 1} "):
+            VortexSystem(SPHERE, pos, np.ones(len(pos)))
+
+    def test_kernels_raise(self):
+        pos, k = near_pair_positions()
+        for kernel in (green_sphere, sgrad_green_sphere):
+            with pytest.raises(SingularityError):
+                kernel(pos[k], pos[-1])
+
+    def test_run_into_pair_is_a_collision(self):
+        pos, _ = near_pair_positions()
+        system = VortexSystem(SPHERE, pos, np.ones(len(pos)), check=False)
+        result = run(system, make_rhs(system), IntegratorConfig(dt=1e-3, steps=3))
+        assert result.collision_step == 1 and len(result.records) == 1
+        assert "singularity guard" in result.collision_message
+
+    def test_field_point_is_inside_guard(self):
+        pos, k = near_pair_positions()
+        others = VortexSystem(SPHERE, pos[:-1], np.ones(len(pos) - 1))
+        x = np.concatenate([normalize_rows(np.array([[1.0, 2.0, 3.0]])), pos[-1:]])
+        dist = nearest_vortex_distance(x, others)
+        assert dist[0] > 1e-3 and dist[1] < EPS_SEPARATION
+        with pytest.raises(SingularityError, match="singularity guard"):
+            sphere_field_velocity(x, others)
+
+    @pytest.mark.parametrize("angle", [3e-9, 1e-8, 1e-7])
+    def test_pair_outside_guard_moves_by_its_chord(self, angle):
+        # two unit vortices `angle` apart: each moves at cot(angle / 2) / 4pi
+        # about the other. The gap 1 - x . p = c^2 / 2 is 4.5e-18 to 5e-15;
+        # as a dot product it would read 0 or a multiple of 1.1e-16.
+        x = np.array([1.0, 0.0, 0.0])
+        y = np.array([math.cos(angle), math.sin(angle), 0.0])
+        system = VortexSystem(SPHERE, [x, y], [1.0, 1.0])
+        u = sphere_vortex_velocities(system)
+        d = math.atan2(np.linalg.norm(np.cross(x, y)), x @ y)
+        speed = 1.0 / (math.tan(d / 2) * FOUR_PI)
+        np.testing.assert_allclose(np.linalg.norm(u, axis=1), speed, rtol=1e-6)
+        assert nearest_vortex_distance(x, VortexSystem(SPHERE, [y], [1.0]))[0] == pytest.approx(d, rel=1e-6)
 
 
 class TestSurfaceVelocities:

@@ -9,10 +9,10 @@ import pytest
 
 from surfvort import save_obj
 from surfvort import scenario as scenario_module
-from surfvort.cli import main
+from surfvort.cli import _grid_points, main
 from surfvort.errors import ScenarioError, SingularityError
 from surfvort.integrator import RunResult, run
-from surfvort.numerics import BLOCK_ROWS, write_rows
+from surfvort.numerics import BLOCK_ROWS, normalize_rows, write_rows
 from surfvort.scenario import build_run, load_scenario, parse_scenario, presets
 from surfvort.shapes import ellipsoid, icosphere
 
@@ -458,6 +458,30 @@ class TestFieldCommand:
         assert main(["field", scn, "--grid", grid, "--out", str(out)]) == 0
         text = (out / "field.csv").read_text()
         assert "# skipped_near_vortex: 1" in text
+
+    def test_sphere_point_inside_guard_is_skipped(self, tmp_path):
+        # a vortex 5e-10 rad from grid point 18, whose dot product with it is
+        # below 1, so that arccos reads 1.5e-8 rad; its chord is inside the guard
+        grid = {"kind": "sphere_grid", "n_polar": 4, "n_azimuth": 8}
+        pts, _ = _grid_points(grid, None)
+        tangent = np.cross(pts[18], [0.0, 0.0, 1.0])
+        near = normalize_rows(pts[18] + 5e-10 * tangent / np.linalg.norm(tangent))
+        doc = {
+            "geometry": "sphere",
+            "vortices": [{"position": near.tolist(), "strength": 1.0},
+                         {"position": [0.0, 0.0, -1.0], "strength": -1.0}],
+            "integrator": {"dt": 0.01, "steps": 1},
+        }
+        scn = write_scenario(tmp_path, doc)
+        vortex = build_run(load_scenario(scn)).system.positions[0]
+        assert (pts @ vortex)[18] < 1.0 and np.linalg.norm(pts[18] - vortex) < 1e-9
+        out = tmp_path / "out"
+        assert main(["field", scn, "--grid", json.dumps(grid), "--out", str(out)]) == 0
+        text = (out / "field.csv").read_text()
+        assert "# skipped_near_vortex: 1" in text
+        rows = np.array([[float(v) for v in r.split(",")] for r in text.splitlines()[2:]])
+        np.testing.assert_array_equal(rows[:, :3], np.delete(pts, 18, axis=0))
+        assert np.isfinite(rows).all()
 
 
 class TestSampleCommand:
