@@ -56,7 +56,6 @@ from .kernels import (
     green_sphere,
     sgrad_green_plane,
     sgrad_green_sphere,
-    sphere_distance,
 )
 from .mesh import (
     TopologyReport,

@@ -1,8 +1,9 @@
 """surfvort command line: scenario runs, conformal maps, field dumps, sampling.
 
 Exit codes: 0 success, 1 configuration error, 2 topology rejection,
-3 conformal-map non-convergence, 4 vortex collision (partial outputs are
-kept and flagged in the run manifest).
+3 conformal-map non-convergence, 4 vortex collision or non-finite state
+(partial outputs are kept and flagged in the run manifest, which never holds
+an infinity or a NaN).
 
 All CSV output uses shortest round-trip float formatting, a header row and LF
 line endings; identical scenarios and seeds produce byte-identical files.
@@ -256,12 +257,13 @@ def _cmd_run(args) -> int:
         "outputs": written,
     }
     with _open_out(os.path.join(out_dir, "manifest.json")) as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
     if not result.completed:
         print(
-            f"collision at step {result.collision_step}: partial trajectory kept in {out_dir}",
+            f"stopped at step {result.collision_step} ({result.collision_message}): "
+            f"partial trajectory kept in {out_dir}",
             file=sys.stderr,
         )
         return EXIT_COLLISION

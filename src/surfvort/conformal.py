@@ -335,20 +335,6 @@ class ConformalAtlas:
         """Constant per-triangle gradients of h on the sphere mesh, (n, 3)."""
         return self.triangle_grad_h[tri]
 
-    @classmethod
-    def identity(cls, sphere_mesh: TriangleMesh) -> "ConformalAtlas":
-        """Identity map of a mesh that already lies on the unit sphere (h = 1)."""
-        n = sphere_mesh.vertex_count
-        return cls(
-            source_mesh=sphere_mesh,
-            sphere_positions=np.array(sphere_mesh.vertices),
-            log_factors=np.zeros(n),
-            factors=np.ones(n),
-            triangle_grad_h=np.zeros((sphere_mesh.face_count, 3)),
-            iterations_used=0,
-            sphericity_residual=0.0,
-        )
-
 
 def build_atlas(
     mesh: TriangleMesh,

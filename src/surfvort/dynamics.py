@@ -455,6 +455,14 @@ def nearest_vortex_distance(x, system: VortexSystem) -> FloatArray:
     return dist
 
 
+def _exact_sum(values) -> float:
+    """`math.fsum`, but NaN where it would raise: infinities of both signs, or overflow."""
+    try:
+        return math.fsum(values)
+    except (ValueError, OverflowError):
+        return math.nan
+
+
 def kinetic_energy(system: VortexSystem) -> float:
     """Excess kinetic energy E = -sum_{i<j} w_i w_j G(p_i, p_j).
 
@@ -462,7 +470,8 @@ def kinetic_energy(system: VortexSystem) -> float:
     images (the sphere part of the metric Hamiltonian). Each block of rows
     contributes the exact sum of its own pairs and the plain sum of its pairs
     with all later vortices; E is the exact sum of these partials. A system
-    of one block therefore gets the exactly rounded pair sum.
+    of one block therefore gets the exactly rounded pair sum. Positions far
+    enough apart that a squared distance overflows give an infinite or NaN E.
     """
     n = len(system)
     if n < 2:
@@ -476,7 +485,7 @@ def kinetic_energy(system: VortexSystem) -> float:
         iu, ju = np.triu_indices(stop - start, k=1)
         iu += start
         ju += start
-        partials.append(math.fsum(w[iu] * w[ju] * green(pos[iu], pos[ju])))
+        partials.append(_exact_sum(w[iu] * w[ju] * green(pos[iu], pos[ju])))
         if stop < n:
             r2 = _squared_distances(pts[:, start:stop], pts[:, stop:], ws)
             check_squared_separation(r2, sphere)
@@ -484,7 +493,7 @@ def kinetic_energy(system: VortexSystem) -> float:
             terms *= w[start:stop, None]
             terms *= w[stop:]
             partials.append(terms.sum())
-    return -math.fsum(partials)
+    return -_exact_sum(partials)
 
 
 def metric_hamiltonian(system: VortexSystem, atlas: ConformalAtlas) -> float:

@@ -1,12 +1,13 @@
-"""Fixed-step RK4 time stepping with geometry-respecting advection.
+"""Fixed-step classical RK4 time stepping on the plane and on the unit sphere.
 
-Planar systems use the standard vector RK4 update. Spherical systems replace
-every straight-line displacement by a rotation: a point advected by tangent u
-over dt travels the same arc length |u| dt along the great circle through u,
-so the update never leaves the sphere and loses no motion to projection.
-Stage tangents are combined as ambient 3-vectors and the weighted combination
-is projected back onto the base point's tangent plane before the final
-rotation.
+Planar systems use the standard vector RK4 update. Spherical systems (the
+sphere, and the sphere images of closed surfaces) run the same update in R^3
+on the velocity field extended to u(x / |x|), and put every stage point
+p + c dt k and the step's result back on the unit sphere by normalising it.
+That extension is smooth and tangent to every sphere about the origin, so
+its flow keeps the unit sphere and the step keeps RK4's order 4 (projection
+methods: Hairer, Lubich & Wanner, Geometric Numerical Integration, IV.4).
+The right-hand side only ever sees unit vectors.
 
 A run's result is arrays, not per-step objects: the (k, n, 3) positions of
 steps 0..k-1, on closed surfaces their map-back onto the source surface in
@@ -42,33 +43,23 @@ class IntegratorConfig:
             raise ValueError("steps must be >= 0")
 
 
-def _advect_sphere_rows(p: FloatArray, u: FloatArray, dt: float) -> FloatArray:
-    """Rotate each unit row of p along its tangent u for time dt (arc length |u| dt).
+def _advance(p: FloatArray, k: FloatArray, h: float, planar: bool) -> FloatArray:
+    """p + h k; on the sphere, renormalised onto the unit sphere.
 
-    u is projected onto the tangent plane at p first; a row with no tangent
-    part stays at p. The results are renormalized to unit length.
+    Stage velocities are tangent at p (their RK4 combination nearly so), so
+    |p + h k| is at least about 1 and the division is safe.
     """
-    # p cos(theta) + (ut / |ut|) sin(theta) with theta = |ut| dt. A row at
-    # rest has ut = 0 and theta = 0; dividing by 1 instead of 0 there makes
-    # its tangent term exactly zero, so it comes back as p.
-    ut = u - (u * p).sum(axis=1, keepdims=True) * p
-    speed = np.sqrt((ut * ut).sum(axis=1, keepdims=True))
-    theta = speed * dt
-    out = p * np.cos(theta) + ut * (np.sin(theta) / np.where(speed > 0.0, speed, 1.0))
-    return out / np.sqrt((out * out).sum(axis=1, keepdims=True))
-
-
-def _advance(positions: FloatArray, k: FloatArray, dt: float, planar: bool) -> FloatArray:
+    q = p + h * k
     if planar:
-        return positions + dt * k
-    return _advect_sphere_rows(positions, k, dt)
+        return q
+    return q / np.sqrt((q * q).sum(axis=1, keepdims=True))
 
 
 def rk4_step(p: FloatArray, rhs, dt: float, planar: bool) -> FloatArray:
-    """Positions after one RK4 step; stages move straight on the plane, by rotation otherwise.
+    """Positions after one classical RK4 step; on the sphere each stage point is renormalised.
 
-    Rotational advection renormalizes onto the sphere and planar velocities
-    keep z = 0 exactly, so the step needs no re-validation; near-collisions
+    Planar velocities keep z = 0 exactly and spherical points are put back on
+    the unit sphere, so the step needs no re-validation; near-collisions
     surface through the rhs's singularity guard.
     """
     k1 = rhs(p)
@@ -80,7 +71,11 @@ def rk4_step(p: FloatArray, rhs, dt: float, planar: bool) -> FloatArray:
 
 @dataclass
 class RunResult:
-    """A run's trajectory arrays plus the collision flag for aborted runs."""
+    """A run's trajectory arrays plus the step that stopped it early, if any.
+
+    A run stops at a collision or at non-finite state; `collision_message`
+    says which.
+    """
 
     records: FloatArray                    # (k, n, 3) positions at steps 0..k-1
     source_positions: FloatArray | None    # (k, n, 3) map-back, closed surfaces only
@@ -113,8 +108,9 @@ def run(
         Maps sphere positions back to the source surface for the record
         (closed surfaces only).
 
-    A singularity raised by `rhs` aborts the run; the steps recorded so far
-    are returned with the collision step flagged rather than raised.
+    A singularity raised by `rhs` aborts the run, and so do positions or
+    diagnostics that are not finite; the steps recorded before are returned
+    with that step flagged rather than raised.
     """
     if diagnostics_every < 1:
         raise ValueError("diagnostics_every must be >= 1")
@@ -132,11 +128,18 @@ def run(
             except SingularityError as exc:
                 collision_step, message = step, str(exc)
                 break
+            # one sum is NaN or infinite when any coordinate is (or all are too large to add)
+            if not math.isfinite(p.sum()):
+                collision_step, message = step, "positions became non-finite"
+                break
         records[step] = p
         if source is not None:
             source[step] = map_back(p)
         if diagnostics is not None and (step % diagnostics_every == 0 or step == config.steps):
             energy, h_tilde = diagnostics(p)
+            if not (math.isfinite(energy) and (h_tilde is None or math.isfinite(h_tilde))):
+                collision_step, message = step, "energy diagnostics became non-finite"
+                break
             rows.append((step, energy, math.nan if h_tilde is None else h_tilde))
 
     kept = config.steps + 1 if collision_step is None else collision_step

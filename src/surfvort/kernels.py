@@ -40,15 +40,6 @@ _GREEN_LOG_SCALE = -0.25 / math.pi
 PLANE_NORMAL = np.array([0.0, 0.0, 1.0])
 
 
-def sphere_distance(x, y) -> FloatArray | float:
-    """Great-circle distance arccos(x . y), dot clamped to [-1, 1]."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    dot = np.clip(np.sum(x * y, axis=-1), -1.0, 1.0)
-    d = np.arccos(dot)
-    return float(d) if d.ndim == 0 else d
-
-
 def squared_distance(x, y) -> FloatArray:
     """|x - y|^2 over the last axis, summed in the order x, y, z.
 

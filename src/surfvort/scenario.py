@@ -55,6 +55,11 @@ MAX_VORTICES = 10_000
 MAX_RECORDS = 20_000_000
 MAX_FIELD_POINTS = 1_000_000
 MAX_FIELD_PAIRS = 100_000_000
+# Strengths are bounded in magnitude so that no energy sum can overflow. A
+# Green's function of a finite squared distance is at most 57 in magnitude,
+# so every pair term w_i w_j G, a balancing counter vortex's too (at most
+# MAX_VORTICES * MAX_STRENGTH), and the sum of all of them stay below 1e215.
+MAX_STRENGTH = 1e100
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,13 @@ def _number(value, what: str, kind=float, minimum=None):
     _require(kind is int or math.isfinite(number), f"{what} must be finite")
     _require(minimum is None or number >= minimum, f"{what} must be >= {minimum}")
     return number
+
+
+def _strength(value, what: str) -> float:
+    """A vortex strength, finite and at most MAX_STRENGTH in magnitude."""
+    w = _number(value, what)
+    _require(abs(w) <= MAX_STRENGTH, f"{what} must be at most {MAX_STRENGTH:g} in magnitude")
+    return w
 
 
 def _numbers(value, count: int, what: str) -> list[float]:
@@ -195,13 +207,12 @@ def _strength_law(spec) -> tuple[str, float, float]:
     _require(isinstance(spec, dict), "sampler strength must be a JSON object")
     law = spec.get("law", "constant")
     if law == "constant":
-        value = _number(spec.get("value", 1.0), "strength value")
+        value = _strength(spec.get("value", 1.0), "strength value")
         return law, value, value
     _require(law == "uniform", f"strength law must be 'constant' or 'uniform', got {law!r}")
-    low = _number(spec.get("low", -1.0), "strength low")
-    high = _number(spec.get("high", 1.0), "strength high")
-    _require(low <= high and math.isfinite(high - low),
-             "uniform strength low must be <= high, with a finite range")
+    low = _strength(spec.get("low", -1.0), "strength low")
+    high = _strength(spec.get("high", 1.0), "strength high")
+    _require(low <= high, "uniform strength low must be <= high")
     return law, low, high
 
 
@@ -293,7 +304,7 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
     strengths, places = [], []   # places: flat positions (rows or blocks), or mesh records
     for v in vortices:
         _require(isinstance(v, dict) and "strength" in v, "each vortex needs a strength")
-        strengths.append([_number(v["strength"], "vortex strength")])
+        strengths.append([_strength(v["strength"], "vortex strength")])
         places.append(_mesh_location(v) if on_mesh else _flat_position(v.get("position"), geometry))
     n = len(vortices)
     for s in samplers:
@@ -323,10 +334,7 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
         _require(balance in ("none", "reject"), f"unknown balance mode {balance!r}")
         balance_mode = balance
     w = np.concatenate(strengths)
-    try:
-        total = vorticity_imbalance(w)
-    except OverflowError:
-        raise ScenarioError("the sum of the vortex strengths must be finite") from None
+    total = vorticity_imbalance(w)
     if total and balance_mode == "counter_vortex":
         places.append(counter)
         w = np.append(w, -total)

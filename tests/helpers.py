@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from surfvort import (
+    ConformalAtlas,
     TriangleMesh,
     VortexSystem,
     energy_diagnostics,
@@ -112,6 +113,20 @@ def random_sphere_system(rng: np.random.Generator, n: int,
     w = rng.uniform(-1.0, 1.0, n)
     w[np.abs(w) < 0.1] = 0.5
     return VortexSystem(SPHERE, np.array(pts), w)
+
+
+def identity_atlas(sphere_mesh: TriangleMesh) -> ConformalAtlas:
+    """Identity map of a mesh that already lies on the unit sphere (h = 1)."""
+    n = sphere_mesh.vertex_count
+    return ConformalAtlas(
+        source_mesh=sphere_mesh,
+        sphere_positions=np.array(sphere_mesh.vertices),
+        log_factors=np.zeros(n),
+        factors=np.ones(n),
+        triangle_grad_h=np.zeros((sphere_mesh.face_count, 3)),
+        iterations_used=0,
+        sphericity_residual=0.0,
+    )
 
 
 def brute_force_locate(mesh: TriangleMesh, p: np.ndarray) -> int:

@@ -39,7 +39,7 @@ from surfvort.kernels import EPS_SEPARATION, sgrad_green_sphere
 from surfvort.numerics import normalize_rows
 from surfvort.shapes import icosphere
 
-from helpers import fd_energy_velocity, random_plane_system, random_sphere_system
+from helpers import fd_energy_velocity, identity_atlas, random_plane_system, random_sphere_system
 
 FOUR_PI = 4 * math.pi
 
@@ -516,7 +516,7 @@ class TestSphereNearPairs:
 
 class TestSurfaceVelocities:
     def test_identity_atlas_reduces_to_sphere(self, rng):
-        atlas = ConformalAtlas.identity(icosphere(2))
+        atlas = identity_atlas(icosphere(2))
         pos = random_sphere_system(rng, 4).positions
         w = np.array([1.0, -1.0, 0.5, -0.5])
         surf = VortexSystem(CLOSED_SURFACE, pos, w)
@@ -542,14 +542,14 @@ class TestSurfaceVelocities:
         np.testing.assert_allclose(u_surf, u_sphere / 4.0, rtol=1e-9, atol=1e-12)
 
     def test_self_term_sign_must_be_unit(self, rng):
-        atlas = ConformalAtlas.identity(icosphere(2))
+        atlas = identity_atlas(icosphere(2))
         pos = random_sphere_system(rng, 2).positions
         surf = VortexSystem(CLOSED_SURFACE, pos, [1.0, -1.0])
         with pytest.raises(ValueError):
             surface_vortex_velocities(surf, atlas, self_term_sign=0)
 
     def test_geometry_mismatch_rejected(self, rng):
-        atlas = ConformalAtlas.identity(icosphere(2))
+        atlas = identity_atlas(icosphere(2))
         system = random_sphere_system(rng, 3)
         with pytest.raises(ValueError):
             surface_vortex_velocities(system, atlas)
@@ -573,7 +573,7 @@ class TestSurfaceVelocities:
         assert np.array_equal(evaluator(p), expected)
 
     def test_evaluator_checks_once_at_construction(self, rng):
-        atlas = ConformalAtlas.identity(icosphere(2))
+        atlas = identity_atlas(icosphere(2))
         with pytest.raises(VorticityBalanceError):
             SurfaceVelocityEvaluator(atlas, [1.0, -0.5])
         with pytest.raises(ValueError):
@@ -587,7 +587,7 @@ class TestSurfaceField:
         surf = VortexSystem(CLOSED_SURFACE, pos, w)
         sphere = VortexSystem(SPHERE, pos, w)
         x = normalize_rows(rng.normal(size=3))
-        atlas1 = ConformalAtlas.identity(icosphere(2))
+        atlas1 = identity_atlas(icosphere(2))
         np.testing.assert_allclose(
             surface_field_velocity(x, surf, atlas1),
             sphere_field_velocity(x, sphere),
@@ -625,7 +625,7 @@ class TestSurfaceField:
             surface_field_velocity(x, surf, blob_atlas, locations=(tri[:-1], st[:-1]))
 
     def test_near_vortex_image_raises(self, rng):
-        atlas = ConformalAtlas.identity(icosphere(2))
+        atlas = identity_atlas(icosphere(2))
         pos = random_sphere_system(rng, 2).positions
         surf = VortexSystem(CLOSED_SURFACE, pos, [1.0, -1.0])
         with pytest.raises(SingularityError):
@@ -665,6 +665,12 @@ class TestEnergy:
     def test_single_vortex(self):
         assert kinetic_energy(plane_system([[0, 0, 0]], [3.0])) == 0.0
 
+    def test_overflowing_distances_give_nan_not_an_error(self):
+        # both squared distances overflow, so the pair terms are +inf and -inf
+        with np.errstate(over="ignore"):
+            system = plane_system([[0, 0, 0], [1e300, 0, 0], [-1e300, 0, 0]], [1.0, -1.0, 1.0])
+            assert math.isnan(kinetic_energy(system))
+
     def test_energy_gradient_consistency(self, rng):
         # operational restatement of velocity = (rotated energy gradient)/strength,
         # with the per-geometry rotation orientation documented in helpers
@@ -684,7 +690,7 @@ class TestEnergy:
 
 class TestMetricHamiltonian:
     def test_identity_atlas_is_plain_energy(self, rng):
-        atlas = ConformalAtlas.identity(icosphere(2))
+        atlas = identity_atlas(icosphere(2))
         pos = random_sphere_system(rng, 4).positions
         w = np.array([1.0, -1.0, 0.5, -0.5])
         surf = VortexSystem(CLOSED_SURFACE, pos, w)
@@ -708,7 +714,7 @@ class TestMetricHamiltonian:
         assert metric_hamiltonian(surf, atlas) == pytest.approx(expected, abs=1e-14)
 
     def test_diagnostics_bundle(self, rng):
-        atlas = ConformalAtlas.identity(icosphere(2))
+        atlas = identity_atlas(icosphere(2))
         pos = random_sphere_system(rng, 2).positions
         surf = VortexSystem(CLOSED_SURFACE, pos, [1.0, -1.0])
         assert energy_diagnostics(surf, atlas) == (kinetic_energy(surf),

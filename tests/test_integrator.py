@@ -11,14 +11,14 @@ from surfvort import (
     run,
 )
 from surfvort.dynamics import PLANE, SPHERE, make_rhs
-from surfvort.integrator import _advect_sphere_rows
+from surfvort.integrator import _advance
 from surfvort.numerics import normalize_rows
 
 from helpers import diagnostics_of, random_plane_system, random_sphere_system
 
 
 def advect_row(p, u, dt):
-    return _advect_sphere_rows(p[None, :], u[None, :], dt)[0]
+    return _advance(p[None, :], u[None, :], dt, planar=False)[0]
 
 
 class TestConfig:
@@ -30,14 +30,20 @@ class TestConfig:
 
 
 class TestAdvectSphere:
+    """The sphere's stage advance, p + dt u renormalised onto the unit sphere, and its RK4 step."""
+
     def test_zero_velocity(self):
         p = np.array([0.0, 0.0, 1.0])
         np.testing.assert_array_equal(advect_row(p, np.zeros(3), 0.5), p)
 
     def test_quarter_turn(self):
-        p = np.array([1.0, 0.0, 0.0])
-        u = np.array([0.0, math.pi / 2, 0.0])
-        np.testing.assert_allclose(advect_row(p, u, 1.0), [0.0, 1.0, 0.0], atol=1e-15)
+        # RK4 steps of the rigid rotation field u = w x p turn p a quarter turn
+        # in time pi / (2 |w|)
+        omega = np.array([0.0, 0.0, 1.0])
+        p = np.array([[1.0, 0.0, 0.0]])
+        for _ in range(1000):
+            p = rk4_step(p, lambda q: np.cross(omega, q), math.pi / 2000, planar=False)
+        np.testing.assert_allclose(p[0], [0.0, 1.0, 0.0], atol=1e-13)
 
     def test_unit_norm_preserved(self, rng):
         for _ in range(200):
@@ -47,32 +53,20 @@ class TestAdvectSphere:
             q = advect_row(p, u, rng.uniform(-2, 2))
             assert abs(np.linalg.norm(q) - 1.0) < 1e-15
 
-    def test_arc_length_equals_speed_times_dt(self, rng):
-        p = normalize_rows(rng.normal(size=3))
-        u = rng.normal(size=3)
-        u -= (u @ p) * p
-        dt = 0.37
-        q = advect_row(p, u, dt)
-        travelled = math.acos(np.clip(p @ q, -1, 1))
-        assert travelled == pytest.approx(np.linalg.norm(u) * dt, rel=1e-12)
-
     def test_batch_mixes_resting_and_moving_rows(self, rng):
         p = normalize_rows(rng.normal(size=(6, 3)))
         u = rng.normal(size=(6, 3))
         u -= np.sum(u * p, axis=1, keepdims=True) * p
         p[1], u[1] = [0.0, 0.0, 1.0], 0.0
-        p[4], u[4] = [-1.0, 0.0, 0.0], [2.0, 0.0, 0.0]  # purely normal: no tangent part
+        p[4], u[4] = [-1.0, 0.0, 0.0], 0.0
         dt = 0.37
         with np.errstate(all="raise"):
-            q = _advect_sphere_rows(p, u, dt)
+            q = _advance(p, u, dt, planar=False)
         np.testing.assert_array_equal(q[[1, 4]], p[[1, 4]])
         for i in (0, 2, 3, 5):
-            speed = np.linalg.norm(u[i])
-            expected = p[i] * math.cos(speed * dt) + u[i] / speed * math.sin(speed * dt)
-            np.testing.assert_allclose(q[i], expected, atol=1e-15)
+            expected = p[i] + dt * u[i]
+            np.testing.assert_allclose(q[i], expected / np.linalg.norm(expected), atol=1e-15)
             assert abs(np.linalg.norm(q[i]) - 1.0) < 1e-15
-            travelled = math.acos(np.clip(p[i] @ q[i], -1, 1))
-            assert travelled == pytest.approx(speed * dt, rel=1e-12)
 
 
 class TestRk4Step:
@@ -163,6 +157,32 @@ class TestRun:
         assert result.diagnostics[:, 0].tolist() == [0, 2]
         full = run(system, rhs, IntegratorConfig(dt=0.01, steps=2))
         np.testing.assert_array_equal(result.records, full.records)
+
+    def test_non_finite_positions_stop_the_run(self, rng):
+        system = random_plane_system(rng, 3)
+        rhs = make_rhs(system)
+        calls = {"n": 0}
+
+        def overflowing_rhs(p):
+            calls["n"] += 1
+            return np.full_like(p, np.inf) if calls["n"] > 9 else rhs(p)
+
+        result = run(system, overflowing_rhs, IntegratorConfig(dt=0.01, steps=10),
+                     diagnostics=diagnostics_of(system))
+        assert result.collision_step == 3
+        assert result.collision_message == "positions became non-finite"
+        assert len(result.records) == 3 and np.isfinite(result.records).all()
+        assert result.diagnostics[:, 0].tolist() == [0, 1, 2]
+
+    def test_non_finite_diagnostics_stop_the_run(self, rng):
+        system = random_sphere_system(rng, 3)
+        energies = iter([1.0, 2.0, math.inf])
+        result = run(system, make_rhs(system), IntegratorConfig(dt=0.01, steps=10),
+                     diagnostics=lambda p: (next(energies), None))
+        assert result.collision_step == 2
+        assert result.collision_message == "energy diagnostics became non-finite"
+        assert len(result.records) == 2
+        assert result.diagnostics[:, :2].tolist() == [[0, 1.0], [1, 2.0]]
 
     def test_near_coincident_positions_raise_in_rhs(self, rng):
         system = random_plane_system(rng, 2)

@@ -171,6 +171,10 @@ class TestScenarioParsing:
         dict(PAIR_SCENARIO, geometry="sphere", vortices=[],
              sampler={"count": 4, "region": {"cap": {"center": [0, 0, 1], "angle": 3.5}}}),
         dict(PAIR_SCENARIO, vortices=[], sampler={"count": 0}),
+        dict(PAIR_SCENARIO, vortices=[{"position": [0, 0], "strength": 1e200},
+                                      {"position": [1, 0], "strength": -1e200},
+                                      {"position": [0, 1], "strength": 1e200}]),
+        dict(PAIR_SCENARIO, sampler={"count": 2, "strength": {"law": "uniform", "low": -1e200}}),
     ], ids=["conformal_number", "outputs_list", "short_box", "zero_sphere_vortex",
             "disk_no_radius", "zero_cap_center", "strength_number", "position_text",
             "short_counter", "mesh_short_nearest", "mesh_no_bary", "mesh_zero_counter",
@@ -178,7 +182,7 @@ class TestScenarioParsing:
             "mesh_reject_imbalance", "mesh_none_imbalance", "mesh_bary_outside",
             "mesh_negative_triangle", "negative_seed", "mesh_negative_seed",
             "negative_grid_seed", "negative_radius", "overflowing_disk", "reversed_box", "negative_cap_angle",
-            "cap_angle_above_pi", "no_vortices"])
+            "cap_angle_above_pi", "no_vortices", "huge_strengths", "huge_sampled_strength"])
     def test_malformed_scenario_fails_before_compute(self, tmp_path, doc, monkeypatch, capsys):
         import surfvort.cli as cli_mod
 
@@ -353,6 +357,24 @@ class TestRunCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["collision"]["step"] == 1
         assert (out / "trajectories.csv").exists()
+
+    def test_non_finite_state_is_flagged_not_written(self, tmp_path):
+        # dt = 1e300 carries the vortices far enough in a few steps that their
+        # squared distances overflow; the manifest must stay strict JSON
+        doc = dict(presets()["taylor_plane"], integrator={"dt": 1e300, "steps": 20})
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main(["run", write_scenario(tmp_path, doc), "--out", str(out)]) == 4
+
+        def reject(constant):
+            raise AssertionError(f"manifest holds {constant}")
+
+        manifest = json.loads((out / "manifest.json").read_text(), parse_constant=reject)
+        stop = manifest["collision"]["step"]
+        assert 0 < stop <= 20 and "non-finite" in manifest["collision"]["message"]
+        rows = (out / "trajectories.csv").read_text().splitlines()[1:]
+        assert len(rows) == stop * manifest["vortex_count"]
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[3:6])
 
     def test_self_term_sign_override_recorded(self, tmp_path):
         mesh_path = tmp_path / "ico.obj"

@@ -5,7 +5,9 @@ onto a tiny icosphere(1), each with one to three of its values replaced by
 other JSON values. Integers are drawn small (0-4) or huge (>= 1e9), so that a
 run inside the parse-time bounds stays short and one outside them is refused
 before anything is allocated. Floats come from a short list: none is so small
-that a conformal tolerance could keep the flow from converging.
+that a conformal tolerance could keep the flow from converging, and 1e300 and
++-1e200 can stand for overflowing strengths, time steps and positions. A
+manifest that is written must be strict JSON, with no infinity or NaN.
 """
 
 import contextlib
@@ -49,7 +51,8 @@ def base_documents() -> list[dict]:
 BASES = base_documents()
 
 integers = st.one_of(st.integers(0, 4), st.integers(10**9, 10**15))
-floats = st.sampled_from([-2.5, -1.0, -0.25, 0.0, 0.001, 0.5, 1.5, 3.0, 1e9])
+floats = st.sampled_from([-1e200, -2.5, -1.0, -0.25, 0.0, 0.001, 0.5, 1.5, 3.0, 1e9, 1e200,
+                          1e300])
 scalars = st.one_of(st.none(), st.booleans(), integers, floats, st.text(max_size=4))
 json_values = st.recursive(
     scalars,
@@ -72,6 +75,10 @@ def replace_at(doc, path, value) -> None:
     for key in path[:-1]:
         doc = doc[key]
     doc[path[-1]] = value
+
+
+def reject_constant(name):
+    raise AssertionError(f"manifest holds {name}, which strict JSON parsers reject")
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +104,10 @@ def test_mutated_scenario_exits_cleanly(workdir, data):
     with tempfile.TemporaryDirectory(dir=workdir) as out, \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["run", str(scenario), "--out", os.path.join(out, "run")])
+        manifest = os.path.join(out, "run", "manifest.json")
+        if code in {0, 4}:
+            with open(manifest, encoding="utf-8") as fh:
+                json.load(fh, parse_constant=reject_constant)
     assert code in {0, 1, 2, 3, 4}
     if code in {1, 2, 3}:
         lines = err.getvalue().splitlines()

@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from surfvort import (
-    ConformalAtlas,
     LocationError,
     SphereLocator,
     TriangleMesh,
@@ -17,7 +16,7 @@ from surfvort.numerics import normalize_rows
 from surfvort.shapes import icosphere
 from surfvort.transport import clamp_bary
 
-from helpers import brute_force_locate
+from helpers import brute_force_locate, identity_atlas
 
 
 def one(tri, s, t):
@@ -27,7 +26,7 @@ def one(tri, s, t):
 
 def interpolate(mesh, values, tri, st):
     """ConformalAtlas.factor_at on `mesh`, with `values` as its per-vertex factors."""
-    atlas = dataclasses.replace(ConformalAtlas.identity(mesh), factors=np.asarray(values, float))
+    atlas = dataclasses.replace(identity_atlas(mesh), factors=np.asarray(values, float))
     return atlas.factor_at(tri, st)
 
 
@@ -89,7 +88,7 @@ class TestMapLocation:
     """A location names the same (triangle, bary) on the source mesh and its sphere image."""
 
     def test_vertex_maps_to_image_vertex(self, icosphere2):
-        atlas = ConformalAtlas.identity(icosphere2)
+        atlas = identity_atlas(icosphere2)
         loc = one(7, 1.0, 0.0)  # second corner of triangle 7
         vid = icosphere2.triangles[7][1]
         np.testing.assert_allclose(
@@ -97,7 +96,7 @@ class TestMapLocation:
         )
 
     def test_roundtrip_is_identity(self, icosphere2):
-        atlas = ConformalAtlas.identity(icosphere2)
+        atlas = identity_atlas(icosphere2)
         tri, st = one(3, 0.21, 0.34)
         p = normalize_rows(position_of(atlas.sphere_mesh, tri, st))
         back_tri, back_st = atlas.locator.locate(p, hints=tri)
@@ -105,7 +104,7 @@ class TestMapLocation:
         np.testing.assert_allclose(back_st, st, atol=1e-12)
 
     def test_centroid_maps_to_centroid(self, icosphere2):
-        atlas = ConformalAtlas.identity(icosphere2)
+        atlas = identity_atlas(icosphere2)
         target = position_of(atlas.sphere_mesh, *one(11, 1 / 3, 1 / 3))[0]
         centroid = atlas.sphere_positions[icosphere2.triangles[11]].mean(axis=0)
         np.testing.assert_allclose(target, centroid, atol=1e-15)
