@@ -6,32 +6,9 @@ case evaluates modified spherical dynamics on the conformal sphere image: the
 spherical pair interaction rescaled by the interpolated conformal factor plus a
 self term driven by the factor's surface gradient.
 
-Every pass over target-source pairs (velocity and field sums, stream function,
-energy, separation and field-distance guards) runs over blocks of target rows
-of at most ``PAIR_BLOCK_PAIRS`` pairs each, through one loop, ``_row_blocks``;
-only the sphere's field distance, one reduction of the dot products with no
-temporaries, needs no blocks. A pass allocates one workspace of a few (rows, n) planes per call, and every
-block writes its temporaries into it through ufunc ``out=`` arguments, so a
-block allocates nothing of size (rows, n). A block computes its rows with the
-same operations as a whole-matrix pass and sums along the same contiguous
-source axis, so velocities, stream function and guard distances are
-bit-identical at any block size. For that, the sphere dot products stay one
-matrix product over all targets, the only (m, n) array left: a BLAS product
-over some rows need not give the same bits as those rows of a whole product.
-The energy is not bit-identical across block sizes: it is the exact sum of
-per-block partials, each the exact sum of the block's own pairs plus a plain
-sum of its pairs with later vortices. With one block that is the exactly
-rounded pair sum; with more it may differ from it in the last bits.
-
-Distances are built as squared distances from per-component (rows, n)
-arrays: Euclidean on the plane, which reads only x and y, and the chord on
-the sphere. Every guard compares them with the squared guard of `kernels`
-(``EPS_PLANE_SQ``, ``EPS_CHORD_SQ``), and only a pass that returns distances
-takes a square root or an arccos, of the nearest entry of each row. The
-sphere velocity sums keep the dot-product gap 1 - x.p; where a block's
-largest dot leaves a gap of at most ``RESOLVABLE_GAP``, those few pairs are
-re-measured as squared chords c^2: the guard reads them, and their gap
-becomes c^2 / 2, which it equals on the unit sphere.
+README's "Conventions and numerical notes" describe the pair passes: the one
+chord-difference sum behind every velocity, the blocks of target rows and
+their workspace, and which results are bit-identical at any block size.
 """
 
 from __future__ import annotations
@@ -51,7 +28,6 @@ from .kernels import (
     green_of_squared,
     green_plane,
     green_sphere,
-    squared_distance,
 )
 from .numerics import readonly
 from .transport import position_of
@@ -71,17 +47,10 @@ BALANCE_RTOL = 1e-12
 DEFAULT_SELF_TERM_SIGN = +1
 
 # Pairs per block of a pair pass: a block's (rows, n) float64 temporaries are
-# 1 MB each, 128 rows at n = 1024, so they stay in cache. Sizing blocks by
-# pairs rather than rows keeps a pass over few sources in few blocks: a field
-# of 20,000 points over 5 vortices is one block, not 157 blocks of 640 pairs.
-PAIR_BLOCK_PAIRS = 128 * 1024
-
-# A sphere block whose largest dot product leaves a gap 1 - x.p at or below
-# this re-measures those pairs as chords. The dot product has an absolute
-# error of about 1e-16, so such a gap has lost at least four digits, and a
-# pair inside the guard may not read a gap of 0; a chord keeps its relative
-# accuracy down to any separation.
-RESOLVABLE_GAP = 1e-12
+# 256 KB each, 32 rows at n = 1024, so the six planes of a sphere block fit in
+# L2. Sizing blocks by pairs rather than rows keeps a pass over few sources in
+# few blocks: a field of 20,000 points over 5 vortices is 4 blocks, not 625.
+PAIR_BLOCK_PAIRS = 32 * 1024
 
 
 def _row_blocks(m: int, n: int, planes: int = 0):
@@ -229,81 +198,83 @@ def _require_balanced(strengths: FloatArray) -> None:
 # Pairwise interaction sums (vectorized over the target index)
 # ---------------------------------------------------------------------------
 
-# scales the (x, y) coordinate rows to (x, -y)
-_FLIP_Y = np.array([[1.0], [-1.0]])
+def _chord_sum(tgt: FloatArray, src: FloatArray, strengths: FloatArray,
+               exclude_diagonal: bool, out: FloatArray) -> FloatArray:
+    """S(x) = sum_i w_i (x - p_i) / |x - p_i|^2 over sources, for each target, into out.
 
-
-def _plane_pair_sum(targets: FloatArray, sources: FloatArray, strengths: FloatArray,
-                    exclude_diagonal: bool) -> FloatArray:
-    """sum_i w_i * (n x (x - p_i)) / |x - p_i|^2 over sources, for each target.
-
-    Each component's terms are laid out (target, source) so that it is one
-    plain sum along the contiguous source axis. With `exclude_diagonal`
-    the targets are the sources and target j skips source j.
+    tgt (c, m) and src (c, n) are coordinate rows, src contiguous, and out is
+    (c, m): x and y on the plane, and x, y and z on the sphere, where |x - p|
+    is the chord. Each component's terms are laid out (target, source), so
+    that it is one plain sum along the contiguous source axis. With
+    `exclude_diagonal` the targets are the sources and target j skips
+    source j.
     """
-    m, n = targets.shape[0], sources.shape[0]
-    # (x, -y) rows, so that one subtraction gives (dx, -dy) and the sums
-    # come out as (u_y, u_x): negation is exact and commutes with the sum
-    src = sources.T[:2] * _FLIP_Y                                   # (2, n)
-    tgt = (src if targets is sources else targets.T[:2] * _FLIP_Y)[:, :, None]
-    src = src[:, None, :]
-    out = np.zeros((m, 3))
-    for start, stop, ws in _row_blocks(m, n, 4):
-        d, sq = ws[:2], ws[2:]
-        np.subtract(tgt[:, start:stop], src, out=d)                 # (dx, -dy)
+    c, m = out.shape
+    n = src.shape[1]
+    t, s = tgt[:, :, None], src[:, None, :]
+    guard = EPS_PLANE_SQ if c == 2 else EPS_CHORD_SQ
+    for start, stop, ws in _row_blocks(m, n, 2 * c):
+        d, sq = ws[:c], ws[c:]
+        np.subtract(t[:, start:stop], s, out=d)                     # x - p
         r2 = np.multiply(d, d, out=sq)[0]
         r2 += sq[1]
+        if c == 3:
+            r2 += sq[2]
         if exclude_diagonal:
             _fill_self_pairs(r2, start, np.inf)
-        if r2.min(initial=np.inf) < EPS_PLANE_SQ:
+        if r2.min(initial=np.inf) < guard:
             raise SingularityError("evaluation point closer than the singularity guard to a vortex")
-        d *= np.divide(strengths, r2, out=r2)                       # w / r^2 * (dx, -dy)
-        d.sum(axis=2, out=out[start:stop, 1::-1].T)
+        d *= np.divide(strengths, r2, out=r2)                       # w / r^2 * (x - p)
+        d.sum(axis=2, out=out[:, start:stop])
     return out
 
 
-# component rows k+1 then k+2 (mod 3), for the written-out cross product
-_CYCLIC = np.array([1, 2, 0, 2, 0, 1])
+# scales the (x, y) coordinate rows to (x, -y). Over them S comes out as
+# (S_x, -S_y), which read backwards is n cross S = (-S_y, S_x); each -S_y is
+# a sum of negated terms, which keeps the sign of a zero velocity as well.
+_FLIP_Y = np.array([[1.0], [-1.0]])
+
+
+def _plane_velocities(targets: FloatArray, sources: FloatArray, strengths: FloatArray,
+                      exclude_diagonal: bool) -> FloatArray:
+    """n cross S(x) / 2 pi for each target x, (m, 3) with z = 0; S as in `_chord_sum`."""
+    src = sources.T[:2] * _FLIP_Y
+    tgt = src if targets is sources else targets.T[:2] * _FLIP_Y
+    u = np.zeros((targets.shape[0], 3))
+    _chord_sum(tgt, src, strengths, exclude_diagonal, out=u[:, 1::-1].T)
+    return u / (2.0 * np.pi)
+
+
+# coordinate rows x, y, z, x, y: rows k + 1 and k + 2 of every row k are slices
+_WRAP = np.array([0, 1, 2, 0, 1])
+
+
+def _cross(a: FloatArray, b: FloatArray) -> FloatArray:
+    """a x b of (5, m) wrapped coordinate rows (see _WRAP), as (3, m) rows.
+
+    (a x b)_k = a_{k+1} b_{k+2} - a_{k+2} b_{k+1}, np.cross's operations.
+    """
+    out = a[1:4] * b[2:5]
+    out -= a[2:5] * b[1:4]
+    return out
 
 
 def _sphere_pair_sum(targets: FloatArray, sources: FloatArray, strengths: FloatArray,
                      exclude_diagonal: bool) -> FloatArray:
-    """sum_i w_i * (x cross p_i) / (1 - x . p_i) over sources, for each target.
+    """S(x) cross x for each target x, (3, m); S as in `_chord_sum`.
 
-    The cross product is written out component-wise, (x cross p)_k =
-    x_{k+1} p_{k+2} - x_{k+2} p_{k+1}, and each component is one plain sum
-    along the contiguous source axis. (Factoring the sum as
-    x cross sum_i c_i p_i is cheaper but loses accuracy to cancellation as n
-    grows.) The dot products are one product over all targets, so they do
-    not depend on the block size; the rest runs block by block. Pairs whose
-    gap 1 - x . p is at most RESOLVABLE_GAP are re-measured as chords.
+    For unit vectors 1 - x . p = |x - p|^2 / 2 and x cross p = (x - p) cross x,
+    so this is half the pair sum sum_i w_i (x cross p_i) / (1 - x . p_i).
+    Each term comes from the difference x - p_i, small for a near pair, so it
+    keeps its relative accuracy at any separation; the gap 1 - x . p of a dot
+    product loses about 1e-16 / (1 - x . p).
     """
-    m, n = targets.shape[0], sources.shape[0]
-    dots = targets @ sources.T                                      # (m, n)
-    src = sources.T[_CYCLIC]                                        # (6, n)
-    tgt = src if targets is sources else targets.T[_CYCLIC]         # (6, m)
-    s = src[:, None, :]
-    out = np.empty((3, m))
-    for start, stop, ws in _row_blocks(m, n, 6):
-        # 1 - x . p with the dot clamped to [-1, 1], over the block's dots: a
-        # dot above 1 leaves a negative gap, which the chords below replace
-        gap = dots[start:stop]
-        np.subtract(1.0, gap, out=gap)
-        if exclude_diagonal:
-            _fill_self_pairs(gap, start, 2.0)
-        np.minimum(gap, 2.0, out=gap)
-        if gap.min() <= RESOLVABLE_GAP:
-            i, j = np.nonzero(gap <= RESOLVABLE_GAP)
-            c2 = squared_distance(targets[start + i], sources[j])
-            if c2.min() < EPS_CHORD_SQ:
-                raise SingularityError("evaluation point closer than the singularity guard to a vortex")
-            gap[i, j] = 0.5 * c2
-        t = tgt[:, start:stop, None]                                # (6, rows, 1)
-        cross = np.multiply(t[:3], s[3:], out=ws[:3])
-        cross -= np.multiply(t[3:], s[:3], out=ws[3:])                # (3, rows, n)
-        cross *= np.divide(strengths, gap, out=gap)
-        cross.sum(axis=2, out=out[:, start:stop])
-    return out.T
+    x = targets.T[_WRAP]
+    src = x[:3] if targets is sources else np.ascontiguousarray(sources.T)
+    s = np.empty_like(x)
+    _chord_sum(x[:3], src, strengths, exclude_diagonal, out=s[:3])
+    s[3:] = s[:2]
+    return _cross(s, x)
 
 
 def _require_geometry(system: VortexSystem, geometry: str) -> None:
@@ -326,8 +297,8 @@ def planar_field_velocity(x, system: VortexSystem) -> FloatArray:
     _require_geometry(system, PLANE)
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    u = _plane_pair_sum(np.atleast_2d(x), system.positions, system.strengths,
-                        exclude_diagonal=False) / (2.0 * np.pi)
+    u = _plane_velocities(np.atleast_2d(x), system.positions, system.strengths,
+                          exclude_diagonal=False)
     return u[0] if single else u
 
 
@@ -345,8 +316,8 @@ def sphere_field_velocity(x, system: VortexSystem) -> FloatArray:
     _require_geometry(system, SPHERE)
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    u = _sphere_pair_sum(np.atleast_2d(x), system.positions, system.strengths,
-                         exclude_diagonal=False) / (4.0 * np.pi)
+    u = (_sphere_pair_sum(np.atleast_2d(x), system.positions, system.strengths,
+                          exclude_diagonal=False) / (2.0 * np.pi)).T
     return u[0] if single else u
 
 
@@ -388,12 +359,12 @@ def surface_field_velocity(
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-    pair = _sphere_pair_sum(pts, system.positions, system.strengths, exclude_diagonal=False)
+    half_pair = _sphere_pair_sum(pts, system.positions, system.strengths, exclude_diagonal=False)
     tri, st = atlas.locator.locate(pts) if locations is None else locations
     if tri.shape != (pts.shape[0],):
         raise ValueError("need one sphere-mesh location per field point")
     h = atlas.factor_at(tri, st)
-    u = pair / (4.0 * np.pi * (h * h)[:, None])
+    u = (half_pair / (2.0 * np.pi * (h * h))).T
     return u[0] if single else u
 
 
@@ -429,30 +400,21 @@ def stream_function(x, system: VortexSystem) -> float | FloatArray:
 def nearest_vortex_distance(x, system: VortexSystem) -> FloatArray:
     """Distance from each point of x (m, 3) to its nearest vortex.
 
-    Euclidean on the plane, the square root of the least squared distance.
-    Angular on the sphere and on a closed surface's sphere image: arccos of
-    the largest dot product, clamped to [-1, 1]. A row whose largest dot
-    leaves a gap of at most RESOLVABLE_GAP is re-measured from its squared
-    chords c^2 to those vortices, as the angle 2 arcsin(c / 2) of the least.
+    Both come from the least squared distance of each row: Euclidean on the
+    plane, its square root; on the sphere and on a closed surface's sphere
+    image, the least squared chord c^2, as the angle 2 arcsin(c / 2).
     """
     pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
     m, n = pts.shape[0], len(system)
+    tgt = _coordinate_rows(pts, system.geometry)
+    src = _coordinate_rows(system.positions, system.geometry)
+    least = np.empty(m)
+    for start, stop, ws in _row_blocks(m, n, tgt.shape[0]):
+        _squared_distances(tgt[:, start:stop], src, ws).min(axis=1, out=least[start:stop])
+    dist = np.sqrt(least, out=least)
     if system.geometry == PLANE:
-        tgt, src = _coordinate_rows(pts, PLANE), _coordinate_rows(system.positions, PLANE)
-        least = np.empty(m)
-        for start, stop, ws in _row_blocks(m, n, 2):
-            _squared_distances(tgt[:, start:stop], src, ws).min(axis=1, out=least[start:stop])
-        return np.sqrt(least)
-    dots = pts @ system.positions.T
-    best = dots.max(axis=1, initial=-1.0)
-    dist = np.arccos(best.clip(-1.0, 1.0))
-    near = np.flatnonzero(1.0 - best <= RESOLVABLE_GAP)
-    if near.size:
-        i, j = np.nonzero(1.0 - dots[near] <= RESOLVABLE_GAP)
-        least = np.full(near.size, np.inf)
-        np.minimum.at(least, i, squared_distance(pts[near[i]], system.positions[j]))
-        dist[near] = 2.0 * np.arcsin(0.5 * np.sqrt(least))
-    return dist
+        return dist
+    return 2.0 * np.arcsin(np.minimum(0.5 * dist, 1.0))
 
 
 def _exact_sum(values) -> float:
@@ -496,6 +458,14 @@ def kinetic_energy(system: VortexSystem) -> float:
     return -_exact_sum(partials)
 
 
+def _factor_term(system: VortexSystem, atlas: ConformalAtlas) -> float:
+    """(1 / 4 pi) * sum_i w_i^2 * log h(p_i), the metric Hamiltonian's factor term."""
+    _require_geometry(system, CLOSED_SURFACE)
+    _require_balanced(system.strengths)
+    log_h = np.log(atlas.factor_at(*atlas.locator.locate(system.positions)))
+    return math.fsum(system.strengths * system.strengths * log_h) / (4.0 * np.pi)
+
+
 def metric_hamiltonian(system: VortexSystem, atlas: ConformalAtlas) -> float:
     """Conserved Hamiltonian of the closed-surface dynamics.
 
@@ -503,22 +473,24 @@ def metric_hamiltonian(system: VortexSystem, atlas: ConformalAtlas) -> float:
     (1 / 4 pi) * sum_i w_i^2 * log h(p_i), valid under vanishing total
     vorticity.
     """
-    _require_geometry(system, CLOSED_SURFACE)
-    _require_balanced(system.strengths)
-    log_h = np.log(atlas.factor_at(*atlas.locator.locate(system.positions)))
-    correction = math.fsum(system.strengths * system.strengths * log_h)
-    return kinetic_energy(system) - correction / (4.0 * np.pi)
+    term = _factor_term(system, atlas)
+    return kinetic_energy(system) - term
 
 
 def energy_diagnostics(system: VortexSystem,
                        atlas: ConformalAtlas | None = None) -> tuple[float, float | None]:
-    """(E, H_tilde) of a system state; H_tilde is None except on closed surfaces."""
-    h_tilde = None
-    if system.geometry == CLOSED_SURFACE:
-        if atlas is None:
-            raise ValueError("closed-surface diagnostics need the conformal atlas")
-        h_tilde = metric_hamiltonian(system, atlas)
-    return kinetic_energy(system), h_tilde
+    """(E, H_tilde) of a system state; H_tilde is None except on closed surfaces.
+
+    E is computed once: H_tilde is E minus the factor term, as in
+    `metric_hamiltonian`.
+    """
+    if system.geometry != CLOSED_SURFACE:
+        return kinetic_energy(system), None
+    if atlas is None:
+        raise ValueError("closed-surface diagnostics need the conformal atlas")
+    term = _factor_term(system, atlas)
+    e = kinetic_energy(system)
+    return e, e - term
 
 
 # ---------------------------------------------------------------------------
@@ -554,14 +526,11 @@ class SurfaceVelocityEvaluator:
     def __call__(self, p: FloatArray) -> FloatArray:
         """Velocities of the vortices at sphere points p; see `surface_vortex_velocities`."""
         tri, st = self.locate(p)
-        pair = _sphere_pair_sum(p, p, self.strengths, exclude_diagonal=True)
+        pair = 2.0 * _sphere_pair_sum(p, p, self.strengths, exclude_diagonal=True)
         h = self.atlas.factor_at(tri, st)
-        pt = p.T[_CYCLIC]                                           # (6, n)
-        gt = self.atlas.grad_factor_at(tri).T[_CYCLIC]
-        cross = pt[:3] * gt[3:]
-        cross -= pt[3:] * gt[:3]                                    # (3, n): p x grad h
-        self_term = (self.strengths / h) * cross
-        return (pair + self.self_term_sign * self_term.T) / (4.0 * np.pi * (h * h)[:, None])
+        grad_h = self.atlas.grad_factor_at(tri).T[_WRAP]
+        self_term = (self.strengths / h) * _cross(p.T[_WRAP], grad_h)
+        return ((pair + self.self_term_sign * self_term) / (4.0 * np.pi * (h * h))).T
 
     def to_source(self, positions: FloatArray) -> FloatArray:
         """Map sphere points back to the source mesh through the atlas."""
@@ -573,9 +542,9 @@ def make_rhs(system: VortexSystem, atlas: ConformalAtlas | None = None,
     """Velocity evaluator (positions -> velocities) for a system's geometry."""
     w = system.strengths
     if system.geometry == PLANE:
-        return lambda p: _plane_pair_sum(p, p, w, exclude_diagonal=True) / (2.0 * np.pi)
+        return lambda p: _plane_velocities(p, p, w, exclude_diagonal=True)
     if system.geometry == SPHERE:
-        return lambda p: _sphere_pair_sum(p, p, w, exclude_diagonal=True) / (4.0 * np.pi)
+        return lambda p: (_sphere_pair_sum(p, p, w, exclude_diagonal=True) / (2.0 * np.pi)).T
     if atlas is None:
         raise ValueError("closed-surface dynamics need a conformal atlas")
     return SurfaceVelocityEvaluator(atlas, w, self_term_sign=self_term_sign)

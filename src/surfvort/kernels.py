@@ -109,13 +109,15 @@ def sgrad_green_plane(x, y) -> FloatArray:
 def sgrad_green_sphere(x, y) -> FloatArray:
     """Symplectic gradient of the sphere kernel at x: (x cross y) / (4 pi (1 - x.y)).
 
-    Tangent at x. The gap 1 - x.y is taken as half the squared chord,
-    |x - y|^2 / 2, which it equals on the unit sphere and which keeps its
-    accuracy for near pairs. The formula stays regular at antipodal pairs
-    (gap -> 2, x cross y -> 0); only near-coincident pairs raise.
+    Tangent at x. Computed as x cross (y - x) / (2 pi c^2) of the squared
+    chord c^2 = |x - y|^2: on the unit sphere 1 - x.y = c^2 / 2 and
+    x cross y = x cross (y - x), and the difference y - x keeps its accuracy
+    for near pairs, where 1 - x.y and x cross y lose theirs. The formula stays
+    regular at antipodal pairs (c^2 -> 4, x cross (y - x) -> 0); only
+    near-coincident pairs raise.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     c2 = squared_distance(x, y)
     check_squared_separation(c2, sphere=True)
-    return np.cross(x, y) / (2.0 * np.pi * c2[..., None])
+    return np.cross(x, y - x) / (2.0 * np.pi * c2[..., None])

@@ -47,10 +47,10 @@ GRID_KEYS = {
 }
 
 # Resource bounds checked at parse time, each at least 10x over every preset
-# and benchmark workload. The vortex count bounds the sphere RHS's (n, n) dot
-# products (0.8 GB); (steps + 1) * n bounds the trajectory records (0.48 GB,
-# twice that with the map-back on meshes); the field bounds cap the points
-# and the point-vortex pairs of one field pass.
+# and benchmark workload. The vortex count bounds the O(n^2) pair sums
+# (about 1 s of CPU per sphere RHS call); (steps + 1) * n bounds the
+# trajectory records (0.48 GB, twice that with the map-back on meshes); the
+# field bounds cap the points and the point-vortex pairs of one field pass.
 MAX_VORTICES = 10_000
 MAX_RECORDS = 20_000_000
 MAX_FIELD_POINTS = 1_000_000

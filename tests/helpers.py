@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 
 from surfvort import (
@@ -21,6 +22,7 @@ from surfvort import (
     kinetic_energy,
 )
 from surfvort.dynamics import PLANE, SPHERE
+from surfvort.numerics import normalize_rows
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -33,6 +35,38 @@ def tangent_basis(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e1 = np.cross(x, seed)
     e1 /= np.linalg.norm(e1)
     return e1, np.cross(x, e1)
+
+
+def near_sphere_pair(rng: np.random.Generator, angle: float) -> tuple[np.ndarray, np.ndarray]:
+    """A random unit vector x and the unit vector `angle` rad from it along a random tangent."""
+    x = normalize_rows(rng.normal(size=3))
+    t = rng.normal(size=3)
+    t -= (t @ x) * x
+    return x, normalize_rows(x * math.cos(angle) + t / np.linalg.norm(t) * math.sin(angle))
+
+
+def mp_sgrad_sphere(x, y) -> list:
+    """(x cross y) / (4 pi (1 - x . y)) to 40 digits, of the float points x, y projected onto the sphere.
+
+    The floats are taken as exact and divided by their length in mpmath, so
+    the oracle is the kernel of the unit vectors nearest to what a caller
+    passes, evaluated by the textbook formula.
+    """
+    with mpmath.workdps(40):
+        x = [mpmath.mpf(float(c)) for c in x]
+        y = [mpmath.mpf(float(c)) for c in y]
+        nx, ny = mpmath.sqrt(sum(c * c for c in x)), mpmath.sqrt(sum(c * c for c in y))
+        x, y = [c / nx for c in x], [c / ny for c in y]
+        cross = [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]]
+        gap = 1 - sum(a * b for a, b in zip(x, y))
+        return [c / (4 * mpmath.pi * gap) for c in cross]
+
+
+def mp_relative_error(u, exact) -> float:
+    """|u - exact| / |exact| of a float 3-vector against an mpmath one."""
+    with mpmath.workdps(40):
+        diff = [mpmath.mpf(float(a)) - b for a, b in zip(u, exact)]
+        return float(mpmath.sqrt(sum(c * c for c in diff)) / mpmath.sqrt(sum(c * c for c in exact)))
 
 
 def fd_gradient_plane(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -35,11 +35,19 @@ from surfvort.dynamics import (
     nearest_vortex_distance,
 )
 from surfvort.integrator import run
-from surfvort.kernels import EPS_SEPARATION, sgrad_green_sphere
+from surfvort.kernels import EPS_CHORD_SQ, EPS_SEPARATION, sgrad_green_sphere
 from surfvort.numerics import normalize_rows
 from surfvort.shapes import icosphere
 
-from helpers import fd_energy_velocity, identity_atlas, random_plane_system, random_sphere_system
+from helpers import (
+    fd_energy_velocity,
+    identity_atlas,
+    mp_relative_error,
+    mp_sgrad_sphere,
+    near_sphere_pair,
+    random_plane_system,
+    random_sphere_system,
+)
 
 FOUR_PI = 4 * math.pi
 
@@ -160,10 +168,10 @@ class TestSphereField:
         assert np.linalg.norm(u2) > 0
         assert abs(u2 @ x2) < 1e-12
 
-    def test_dot_below_minus_one_is_clamped(self):
+    def test_near_antipodal_point_off_the_sphere(self):
         # a field point 1e-14 off the sphere, nearly antipodal to a vortex:
-        # its dot product is below -1, and its gap is 2, as the whole-matrix
-        # pass clamps it
+        # its dot product is below -1, which a gap 1 - x . p had to clamp;
+        # the chord pass needs no clamp and matches the whole-matrix pass
         system = VortexSystem(SPHERE, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], [1.0, 2.0])
         x = np.array([[1e-9, 2e-9, -(1.0 + 1e-14)]])
         p, w = system.positions, system.strengths
@@ -188,16 +196,16 @@ def fsum_plane_velocities(pos, w):
 def fsum_sphere_velocities(pos, w):
     """Per-component exactly rounded sums of w_i (x cross p_i) / (1 - x . p_i).
 
-    1 - x . p_i is ill-conditioned for near pairs, so the dot products come
-    from the same positions @ positions.T product the library forms; the
-    comparison then measures the summation alone.
+    Each term is taken in its chord form 2 w_i ((x - p_i) cross x) / |x - p_i|^2,
+    which equals it for unit vectors and keeps its accuracy for near pairs.
     """
     n = len(w)
-    dots = pos @ pos.T
     out = np.zeros((n, 3))
     for j in range(n):
         others = np.arange(n) != j
-        terms = (w[others] / (1.0 - dots[j, others]))[:, None] * np.cross(pos[j], pos[others])
+        d = pos[j] - pos[others]
+        c2 = d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2
+        terms = (2.0 * w[others] / c2)[:, None] * np.cross(d, pos[j])
         out[j] = [math.fsum(terms[:, k]) for k in range(3)]
     return out / FOUR_PI
 
@@ -255,8 +263,6 @@ class TestPairSumAccuracy:
 # Whole-matrix pair passes: one (m, n) or (3, m, n) array over all targets at
 # once. They are the oracle the block-wise library passes must match bit for bit.
 
-_CYCLIC = np.array([1, 2, 0, 2, 0, 1])
-
 
 def whole_plane_pair_sum(targets, sources, strengths, exclude_diagonal):
     dx = targets[:, 0, None] - sources[None, :, 0]
@@ -274,17 +280,17 @@ def whole_plane_pair_sum(targets, sources, strengths, exclude_diagonal):
 
 
 def whole_sphere_pair_sum(targets, sources, strengths, exclude_diagonal):
-    dots = (targets @ sources.T).clip(-1.0, 1.0)
+    """sum_i w_i (x cross p_i) / (1 - x . p_i) as 2 S(x) cross x, with
+    S(x) = sum_i w_i (x - p_i) / |x - p_i|^2."""
+    # (3, m, n) in C order, so that each sum runs along contiguous sources
+    d = np.subtract(targets.T[:, :, None], sources.T[:, None, :], order="C")
+    c2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
     if exclude_diagonal:
-        np.fill_diagonal(dots, -1.0)
-    if np.arccos(dots.max()) < EPS_SEPARATION:
+        np.fill_diagonal(c2, np.inf)
+    if c2.min() < EPS_CHORD_SQ:
         raise SingularityError("evaluation point closer than the singularity guard to a vortex")
-    t = targets.T[_CYCLIC, :, None]
-    s = sources.T[_CYCLIC, None, :]
-    cross = t[:3] * s[3:]
-    cross -= t[3:] * s[:3]
-    cross *= strengths / (1.0 - dots)
-    return cross.sum(axis=2).T
+    s = (d * (strengths / c2)).sum(axis=2)
+    return 2.0 * np.cross(s.T, targets)
 
 
 def whole_stream_function(x, system):
@@ -294,9 +300,12 @@ def whole_stream_function(x, system):
 
 
 def whole_nearest_distance(pts, system):
+    """The least distance of each row: Euclidean, or the angle 2 arcsin(c / 2) of the least chord c."""
+    d = pts[:, None, :] - system.positions[None, :, :]
+    least = np.sqrt((d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2]).min(axis=1))
     if system.geometry == PLANE:
-        return np.linalg.norm(pts[:, None, :] - system.positions[None, :, :], axis=2).min(axis=1)
-    return np.arccos(np.clip(pts @ system.positions.T, -1.0, 1.0)).min(axis=1)
+        return least
+    return 2.0 * np.arcsin(np.minimum(0.5 * least, 1.0))
 
 
 def whole_closest_pair(geometry, pos):
@@ -317,27 +326,31 @@ def spread_points(rng, geometry, m):
     return normalize_rows(rng.normal(size=(m, 3)))
 
 
-# Self-sum sizes at the block edges: one block up to 362 vortices
-# (362**2 <= PAIR_BLOCK_PAIRS), then 361 + 2 rows at 363, two full blocks at
-# 512 and 255 + 255 + 3 rows at 513. Field sizes over 1024 vortices, whose
-# blocks are B = 128 rows: 1, B - 1, B, B + 1 and 2B + 3 points.
-SELF_SIZES = [1, 361, 362, 363, 512, 513]
-FIELD_SOURCES = 1024
+# Self-sum sizes at the block edges, whatever PAIR_BLOCK_PAIRS is: one block
+# up to Q vortices (Q**2 <= PAIR_BLOCK_PAIRS), two blocks at Q + 1, and three
+# at M, the last of them short. The fixed sizes 361 to 513 are several blocks
+# each, with short and full last blocks, unless the constant grows past 2**17.
+# Field sizes over FIELD_SOURCES vortices, whose blocks are B = 128 rows:
+# 1, B - 1, B, B + 1 and 2B + 3 points.
+Q = math.isqrt(PAIR_BLOCK_PAIRS)
+M = Q + Q // 2                            # three self-sum blocks
+MB = PAIR_BLOCK_PAIRS // M                # their rows
+SELF_SIZES = sorted({1, Q - 1, Q, Q + 1, M, 361, 362, 363, 512, 513})
+FIELD_SOURCES = PAIR_BLOCK_PAIRS // 128
 B = PAIR_BLOCK_PAIRS // FIELD_SOURCES
 FIELD_SIZES = [1, B - 1, B, B + 1, 2 * B + 3]
-M = 513                                   # three self-sum blocks
-MB = PAIR_BLOCK_PAIRS // M                # their rows
 
 
 class TestBlockEdges:
     """Block-wise pair passes against the whole-matrix oracle at block edges."""
 
     def test_block_bounds(self):
-        assert B == 128 and MB == 255
-        assert list(_row_blocks(362, 362)) == [(0, 362)]
-        assert list(_row_blocks(363, 363)) == [(0, 361), (361, 363)]
-        assert list(_row_blocks(512, 512)) == [(0, 256), (256, 512)]
+        assert B == 128 and Q * Q <= PAIR_BLOCK_PAIRS < (Q + 1) ** 2
+        assert list(_row_blocks(Q, Q)) == [(0, Q)]
+        rows = PAIR_BLOCK_PAIRS // (Q + 1)
+        assert list(_row_blocks(Q + 1, Q + 1)) == [(0, rows), (rows, Q + 1)]
         assert list(_row_blocks(M, M)) == [(0, MB), (MB, 2 * MB), (2 * MB, M)]
+        assert list(_row_blocks(2 * B, FIELD_SOURCES)) == [(0, B), (B, 2 * B)]
         assert list(_row_blocks(2 * B + 3, FIELD_SOURCES)) == [(0, B), (B, 2 * B), (2 * B, 2 * B + 3)]
         assert list(_row_blocks(3, 10 ** 6)) == [(0, 1), (1, 2), (2, 3)]
 
@@ -421,7 +434,7 @@ class TestBlockEdges:
         # a wider violating pair in block 0 and a closer one in block 1
         rng = np.random.default_rng(11)
         pos = spread_points(rng, geometry, M)
-        pos[400] = pos[3] + [6e-10, 0.0, 0.0]
+        pos[M - 1] = pos[3] + [6e-10, 0.0, 0.0]
         pos[MB + 13] = pos[MB + 12] + [0.0, 2e-10, 0.0]
         if geometry == SPHERE:
             pos = normalize_rows(pos)
@@ -461,7 +474,7 @@ def near_pair_positions():
 
 
 class TestSphereNearPairs:
-    """Pairs whose dot product cannot resolve their gap are measured as chords."""
+    """Pairs whose dot product cannot resolve their gap: the chord pass measures them."""
 
     def test_pair_dot_does_not_round_to_one(self):
         pos, k = near_pair_positions()
@@ -489,6 +502,21 @@ class TestSphereNearPairs:
         result = run(system, make_rhs(system), IntegratorConfig(dt=1e-3, steps=3))
         assert result.collision_step == 1 and len(result.records) == 1
         assert "singularity guard" in result.collision_message
+
+    @pytest.mark.parametrize("angle", [1e-7, 1e-6, 1e-5, 1e-4, 1e-3])
+    def test_pair_velocities_match_oracle(self, angle):
+        # two unit vortices `angle` apart, in 20 orientations, against a
+        # 40-digit oracle of their positions projected onto the sphere. The
+        # chord pass read at most 3.0e-16 when this test was written; the gap
+        # 1 - x . p read 6.7e-10, 5.2e-11, 4.4e-6, 2.7e-8 and 4.6e-10 from
+        # 1e-7 to 1e-3 rad (chords re-measured below a gap of 1e-12)
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            system = VortexSystem(SPHERE, near_sphere_pair(rng, angle), [1.0, 1.0])
+            u = sphere_vortex_velocities(system)
+            x, y = system.positions
+            assert mp_relative_error(u[0], mp_sgrad_sphere(x, y)) < 1e-14
+            assert mp_relative_error(u[1], mp_sgrad_sphere(y, x)) < 1e-14
 
     def test_field_point_is_inside_guard(self):
         pos, k = near_pair_positions()
@@ -721,6 +749,27 @@ class TestMetricHamiltonian:
                                                    metric_hamiltonian(surf, atlas))
         plain = random_plane_system(rng, 3)
         assert energy_diagnostics(plain) == (kinetic_energy(plain), None)
+
+    def test_diagnostics_compute_energy_once(self, blob_atlas, rng, monkeypatch):
+        # on the blob's varying factor, (E, H_tilde) equal kinetic_energy and
+        # metric_hamiltonian bit for bit, from one kinetic_energy call
+        import surfvort.dynamics as dynamics
+
+        calls = []
+
+        def counted(system):
+            calls.append(system)
+            return kinetic_energy(system)
+
+        for _ in range(5):
+            w = rng.uniform(-1.0, 1.0, 40)
+            w[-1] = -math.fsum(w[:-1])
+            surf = VortexSystem(CLOSED_SURFACE, normalize_rows(rng.normal(size=(40, 3))), w)
+            expected = (kinetic_energy(surf), metric_hamiltonian(surf, blob_atlas))
+            monkeypatch.setattr(dynamics, "kinetic_energy", counted)
+            assert energy_diagnostics(surf, blob_atlas) == expected
+            monkeypatch.undo()
+        assert len(calls) == 5
 
 
 class TestVortexSystem:

@@ -13,7 +13,13 @@ from surfvort import (
 )
 from surfvort.numerics import normalize_rows
 
-from helpers import fd_gradient_plane, fd_gradient_sphere
+from helpers import (
+    fd_gradient_plane,
+    fd_gradient_sphere,
+    mp_relative_error,
+    mp_sgrad_sphere,
+    near_sphere_pair,
+)
 
 
 def plane_xy(x, y):
@@ -107,10 +113,12 @@ def _mp_green(x, y, sphere):
 
 
 class TestGreenOracle:
-    """Both Green's functions against a 40-digit mpmath oracle, at separations 1e-7 to 1.
+    """Both Green's functions and the sphere's symplectic gradient against a
+    40-digit mpmath oracle, at separations 1e-7 to 1.
 
-    Sphere points are normalised floats, so not exactly unit; the oracle
-    takes them as they are. The squared-chord forms stay within 1e-15
+    Sphere points are normalised floats, so not exactly unit; the Green's
+    function oracle takes them as they are, and the gradient's projects them
+    onto the sphere. The squared-chord forms stay within 1e-15
     relative here (2.1e-16 at worst when this test was written). The plane's
     error is taken relative to max(|G|, 1 / 2pi), because G crosses 0 at
     r = 1. The sphere's former form, -ln(sin(arccos(x . y) / 2)) / 2pi, read
@@ -134,13 +142,22 @@ class TestGreenOracle:
     def test_sphere(self, rng):
         for sep in self.SEPARATIONS:
             for _ in range(4):
-                x = normalize_rows(rng.normal(size=3))
-                t = rng.normal(size=3)
-                t -= (t @ x) * x
-                y = normalize_rows(x * math.cos(sep) + t / np.linalg.norm(t) * math.sin(sep))
+                x, y = near_sphere_pair(rng, sep)
                 exact = _mp_green(x, y, sphere=True)
                 err = abs((green_sphere(x, y) - exact) / exact)
                 assert err < self.BOUND, (sep, float(err))
+
+    def test_sgrad_sphere(self, rng):
+        # against (x cross y) / (4 pi (1 - x . y)) of the inputs projected onto
+        # the sphere. Over 20 draws at each separation, x cross (y - x) / (2 pi c^2)
+        # read at most 3.4e-16 when this test was written, and the former
+        # (x cross y) / (2 pi c^2) 4.9e-10, 5.3e-11 and 4.5e-12 at 1e-7, 1e-6
+        # and 1e-5 rad: x cross y is rounded relative to 1, not to the pair's angle.
+        for sep in self.SEPARATIONS:
+            for _ in range(4):
+                x, y = near_sphere_pair(rng, sep)
+                err = mp_relative_error(sgrad_green_sphere(x, y), mp_sgrad_sphere(x, y))
+                assert err < self.BOUND, (sep, err)
 
 
 class TestSgradPlane:
