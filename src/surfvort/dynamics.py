@@ -52,6 +52,10 @@ DEFAULT_SELF_TERM_SIGN = +1
 # few blocks: a field of 20,000 points over 5 vortices is 4 blocks, not 625.
 PAIR_BLOCK_PAIRS = 32 * 1024
 
+# Plane and sphere systems of at most this many vortices loop over their pairs
+# in Python floats (`_few_vortex_rhs`): numpy's ~1 us a call outweighs them.
+FEW_VORTICES = 7
+
 
 def _row_blocks(m: int, n: int, planes: int = 0):
     """(start, stop) bounds of consecutive target-row blocks covering range(m).
@@ -275,6 +279,36 @@ def _sphere_pair_sum(targets: FloatArray, sources: FloatArray, strengths: FloatA
     _chord_sum(x[:3], src, strengths, exclude_diagonal, out=s[:3])
     s[3:] = s[:2]
     return _cross(s, x)
+
+
+def _few_vortex_rhs(strengths: FloatArray, sphere: bool):
+    """The velocities of `_plane_velocities` or `_sphere_pair_sum` / 2 pi, bit for bit.
+
+    Each term repeats the blocked pass's operations, on (x, -y) rows on the
+    plane, and numpy sums under 8 terms a row as a running sum from 0.0, as here.
+    """
+    w = strengths.tolist()
+    others = [[(j, wj) for j, wj in enumerate(w) if j != i] for i in range(len(w))]
+    guard, tau = (EPS_CHORD_SQ if sphere else EPS_PLANE_SQ), 2.0 * math.pi
+
+    def rhs(p: FloatArray) -> FloatArray:
+        pts = p.tolist() if sphere else [(x, -y, 0.0) for x, y, _ in p.tolist()]
+        out = []
+        for (x, y, z), sources in zip(pts, others):
+            a = b = c = 0.0
+            for j, wj in sources:
+                xj, yj, zj = pts[j]
+                dx, dy, dz = x - xj, y - yj, z - zj
+                r2 = dx * dx + dy * dy + dz * dz
+                if r2 < guard:
+                    raise SingularityError("evaluation point closer than the singularity guard to a vortex")
+                q = wj / r2
+                a, b, c = a + q * dx, b + q * dy, c + q * dz
+            # S x x in _cross's operations on the sphere; n x S = (S_-y, S_x) on the plane
+            out.append(((b * z - c * y) / tau, (c * x - a * z) / tau, (a * y - b * x) / tau)
+                       if sphere else (b / tau, a / tau, 0.0))
+        return np.array(out, order="F" if sphere else "C")  # the blocked passes' layouts
+    return rhs
 
 
 def _require_geometry(system: VortexSystem, geometry: str) -> None:
@@ -541,6 +575,8 @@ def make_rhs(system: VortexSystem, atlas: ConformalAtlas | None = None,
              self_term_sign: int = DEFAULT_SELF_TERM_SIGN):
     """Velocity evaluator (positions -> velocities) for a system's geometry."""
     w = system.strengths
+    if system.geometry != CLOSED_SURFACE and len(system) <= FEW_VORTICES:
+        return _few_vortex_rhs(w, system.geometry == SPHERE)
     if system.geometry == PLANE:
         return lambda p: _plane_velocities(p, p, w, exclude_diagonal=True)
     if system.geometry == SPHERE:

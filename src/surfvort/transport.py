@@ -24,6 +24,8 @@ BARY_SLACK = 1e-10
 # Containment slack for the gnomonic point-in-triangle test.
 GNOMONIC_EPS = 1e-12
 
+SEEDS, SEED_ROWS = 256, 1024  # hintless walks start at the nearest of ~256 triangles
+
 
 def clamp_bary(st) -> FloatArray:
     """Clamp barycentric (s, t) rows onto the simplex within a 1e-10 slack.
@@ -58,8 +60,8 @@ class SphereLocator:
 
     For a unit vector p, the containing triangle is the one whose radial
     (central) projection covers p: solve p = a*v1 + b*v2 + c*v3 and test
-    a, b, c >= -eps. Each query walks across edges from a hint triangle and
-    falls back to a vectorized sweep over all triangles after 2F visited.
+    a, b, c >= -eps. Each query walks across edges from a hint or seed triangle
+    and falls back to a vectorized sweep over all triangles after 2F visited.
     """
 
     def __init__(self, mesh: TriangleMesh) -> None:
@@ -71,6 +73,8 @@ class SphereLocator:
         except np.linalg.LinAlgError as exc:
             raise LocationError("sphere mesh has a triangle coplanar with the origin") from exc
         self._neighbors = self._build_neighbors(mesh)
+        self._seeds = np.arange(0, mesh.face_count, max(1, mesh.face_count // SEEDS))
+        self._centroids = (v1[self._seeds] + v2[self._seeds] + v3[self._seeds]) / 3.0
 
     @staticmethod
     def _build_neighbors(mesh: TriangleMesh) -> IntArray:
@@ -94,13 +98,18 @@ class SphereLocator:
 
         All points walk together: each step tests every point still walking
         against its current triangle and moves the ones outside across the
-        edge opposite their most negative coordinate. Hints outside the face
-        range start from triangle 0.
+        edge opposite their most negative coordinate. Without hints a point starts
+        at the seed whose centroid has the largest dot with it; hints outside the
+        face range start from triangle 0.
         """
         p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         faces = self.mesh.face_count
         tri = np.zeros(p.shape[0], dtype=np.int64)
-        if hints is not None:
+        if hints is None:  # SEED_ROWS points at a time bound the (rows, SEEDS) dots
+            for s in range(0, len(p), SEED_ROWS):
+                dots = p[s:s + SEED_ROWS] @ self._centroids.T
+                tri[s:s + SEED_ROWS] = self._seeds[dots.argmax(axis=1)]
+        else:
             hints = np.asarray(hints, dtype=np.int64)
             tri = np.where((hints >= 0) & (hints < faces), hints, 0)
         lam = np.empty_like(p)

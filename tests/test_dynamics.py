@@ -26,11 +26,14 @@ from surfvort import (
 )
 from surfvort.dynamics import (
     CLOSED_SURFACE,
+    FEW_VORTICES,
     PAIR_BLOCK_PAIRS,
     PLANE,
     SPHERE,
     SurfaceVelocityEvaluator,
+    _plane_velocities,
     _row_blocks,
+    _sphere_pair_sum,
     make_rhs,
     nearest_vortex_distance,
 )
@@ -455,6 +458,72 @@ class TestBlockEdges:
         assert pair == (2, MB + 50) and dist == 2.0 ** -32
         with pytest.raises(SingularityError, match=f"vortices 2 and {MB + 50} "):
             VortexSystem(PLANE, pos, np.ones(M))
+
+
+def blocked_velocities(geometry, p, w):
+    """Vortex velocities from the blocked pair pass, whatever the vortex count."""
+    if geometry == PLANE:
+        return _plane_velocities(p, p, w, True)
+    return (_sphere_pair_sum(p, p, w, True) / (2.0 * np.pi)).T
+
+
+def few_vortex_states(geometry, n):
+    """Random states, all-negative strengths and equal-y rows (zero velocity components)."""
+    rng = np.random.default_rng(100 + n)
+    for k in range(60):
+        p = rng.normal(size=(n, 3))
+        if k % 3 == 1:
+            p[:, 1] = 0.0  # the kimura_plane layout: every vortex on y = 0
+        if geometry == PLANE:
+            p[:, 2] = 0.0
+        w = rng.uniform(-2.0, 2.0, n)
+        yield (p if geometry == PLANE else normalize_rows(p)), (-np.abs(w) if k % 2 else w)
+
+
+class TestFewVortexLoop:
+    """Systems of at most FEW_VORTICES vortices take the Python-float pair loop.
+
+    Its velocities must be the blocked pass's bytes: the loop repeats the
+    pass's operations, and numpy sums so few terms a row as a running sum in
+    source order. A numpy that sums them in another order fails here.
+    """
+
+    @pytest.mark.parametrize("geometry", [PLANE, SPHERE])
+    @pytest.mark.parametrize("n", range(1, FEW_VORTICES + 2))
+    def test_byte_identical_to_blocked_pass(self, geometry, n):
+        for p, w in few_vortex_states(geometry, n):
+            system = VortexSystem(geometry, p, w)
+            rhs = make_rhs(system)
+            assert ("_few_vortex_rhs" in rhs.__qualname__) == (n <= FEW_VORTICES)
+            p = system.positions
+            u, blocked = rhs(p), blocked_velocities(geometry, p, w)
+            assert u.tobytes() == blocked.tobytes()
+            assert u.flags.c_contiguous == blocked.flags.c_contiguous
+
+    def test_kimura_plane_layout(self):
+        system = plane_system([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], [-1.0, 1.0])
+        u = make_rhs(system)(system.positions)
+        assert u.tobytes() == blocked_velocities(PLANE, system.positions, system.strengths).tobytes()
+        assert not np.signbit(u[:, 0]).any()
+
+    @pytest.mark.parametrize("geometry", [PLANE, SPHERE])
+    def test_near_pair_raises_the_same_error(self, geometry):
+        rng = np.random.default_rng(3)
+        p = rng.normal(size=(4, 3))
+        if geometry == PLANE:
+            p[:, 2] = 0.0
+            p[2] = p[1] + [0.0, 5e-10, 0.0]
+        else:
+            p = normalize_rows(p)
+            t = np.cross(p[1], [0.0, 0.0, 1.0])
+            p[2] = normalize_rows(p[1] + 5e-10 * t / np.linalg.norm(t))
+        system = VortexSystem(geometry, p, np.ones(4), check=False)
+        p = system.positions
+        with pytest.raises(SingularityError) as loop:
+            make_rhs(system)(p)
+        with pytest.raises(SingularityError) as blocked:
+            blocked_velocities(geometry, p, system.strengths)
+        assert str(loop.value) == str(blocked.value)
 
 
 def near_pair_positions():

@@ -168,6 +168,21 @@ class TestRelocate:
         mismatches = int(np.count_nonzero(got != expected))
         assert mismatches == 0
 
+    def test_cold_walks_find_containing_triangles(self, blob_atlas, rng):
+        # without hints every point starts at its nearest seed triangle
+        mesh = blob_atlas.sphere_mesh
+        points = normalize_rows(rng.normal(size=(2_000, 3)))
+        tri, st = blob_atlas.locator.locate(points)
+        v1, v2, v3 = (v[tri] for v in mesh.corners())
+        normal = np.cross(v2 - v1, v3 - v1)
+        along = np.einsum("ij,ij->i", normal, v1) / np.einsum("ij,ij->i", normal, points)
+        np.testing.assert_allclose(position_of(mesh, tri, st), along[:, None] * points,
+                                   rtol=0, atol=1e-12)
+        interior = (st.min(axis=1) > 1e-9) & (st.sum(axis=1) < 1 - 1e-9)
+        assert interior.mean() > 0.99
+        expected = [blob_atlas.locator._brute_force(p)[0] for p in points[interior]]
+        assert np.array_equal(tri[interior], expected)
+
 
 def dict_neighbors(mesh):
     """Edge-adjacency table by a dict from each undirected edge to its first owner."""
