@@ -8,7 +8,6 @@ rescaling plus a factor-gradient self term.
 
 from .conformal import (
     ConformalAtlas,
-    SparseOperator,
     build_atlas,
     cmcf_to_sphere,
     conformal_log_factors,
@@ -26,9 +25,7 @@ from .dynamics import (
     make_rhs,
     metric_hamiltonian,
     planar_field_velocity,
-    planar_vortex_velocities,
     sphere_field_velocity,
-    sphere_vortex_velocities,
     stream_function,
     surface_field_velocity,
     surface_vortex_velocities,

@@ -38,7 +38,7 @@ from .errors import ScenarioError, SurfVortError, TopologyError
 from .integrator import run as integrate
 from .kernels import EPS_SEPARATION
 from .mesh import face_areas, load_obj, save_obj
-from .numerics import normalize_rows, write_rows
+from .numerics import BLOCK_ROWS, normalize_rows, write_rows
 from .scenario import build_run, check_grid, load_scenario, materialize_preset, presets
 from .transport import position_of, sample_points
 
@@ -55,7 +55,8 @@ def _open_out(path: str):
 
 def _mesh_content_hash(path: str) -> str:
     """Git-style blob hash (sha1 over 'blob <size>\\0<bytes>')."""
-    data = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
 
 
@@ -71,36 +72,43 @@ def _write_csv(path: str, header: str, fmt: str, *columns) -> None:
 
 
 def _write_trajectories(path: str, result, geometry: str, dt: float) -> None:
+    """Rows of whole steps a block at a time, each step's "step,time," formatted once.
+
+    Plane z is +0.0 by construction (positions start there and velocities have
+    z = 0), so it is written as the literal 0.0; on the sphere m is s.
+    """
     k, n, _ = result.records.shape
-    s = result.records.reshape(-1, 3)
-    steps = np.repeat(np.arange(k), n)
-    if geometry == PLANE:  # no sphere image: the s columns stay empty
-        fmt, surface = "%d,%r,%d,%r,%r,%r,,,\n", [s]
-    else:
-        m = s if geometry == SPHERE else result.source_positions.reshape(-1, 3)
-        fmt, surface = "%d,%r,%d" + ",%r" * 6 + "\n", [m, s]
-    _write_csv(path, "step,time,id,mx,my,mz,sx,sy,sz\n", fmt,
-               steps, steps * dt, np.tile(np.arange(n), k), *surface)
+    ids = [f"{i}," for i in range(n)]
+    per_block = max(1, BLOCK_ROWS // n)
+    with _open_out(path) as fh:
+        fh.write("step,time,id,mx,my,mz,sx,sy,sz\n")
+        for a in range(0, k, per_block):
+            b = min(a + per_block, k)
+            heads = [head + i for head in [f"{t},{t * dt!r}," for t in range(a, b)] for i in ids]
+            s = result.records[a:b].reshape(-1, 3)
+            if geometry == PLANE:
+                write_rows(fh, "%s%s,0.0,,,\n", heads, s[:, :2])
+            else:
+                m = s if geometry == SPHERE else result.source_positions[a:b].reshape(-1, 3)
+                write_rows(fh, "%s%s,%s\n", heads, m, s)
 
 
 def _write_energy(path: str, result, geometry: str, dt: float, total_vorticity: float) -> None:
     steps, energy, h_tilde = result.diagnostics.T
-    total = np.full(len(steps), total_vorticity)
     # H_tilde is defined on closed surfaces only; elsewhere its column stays empty
-    if geometry == CLOSED_SURFACE:
-        fmt, columns = "%d,%r,%r,%r,%r\n", [energy, h_tilde, total]
-    else:
-        fmt, columns = "%d,%r,%r,,%r\n", [energy, total]
-    _write_csv(path, "step,time,E,H_tilde,total_vorticity\n", fmt, steps, steps * dt, *columns)
+    closed = geometry == CLOSED_SURFACE
+    fmt = ("%s,%s,%s,%s," if closed else "%s,%s,%s,,") + f"{total_vorticity!r}\n"
+    _write_csv(path, "step,time,E,H_tilde,total_vorticity\n", fmt, steps.astype(np.int64),
+               steps * dt, *([energy, h_tilde] if closed else [energy]))
 
 
 def _write_factors(out_dir: str, atlas) -> list[str]:
     """factors.csv (u and h per vertex) and grad_h.csv (grad h per triangle)."""
-    _write_csv(os.path.join(out_dir, "factors.csv"), "vertex_index,u,h\n", "%d,%r,%r\n",
+    _write_csv(os.path.join(out_dir, "factors.csv"), "vertex_index,u,h\n", "%s,%s,%s\n",
                np.arange(len(atlas.factors)), atlas.log_factors, atlas.factors)
     grad = atlas.triangle_grad_h
     _write_csv(os.path.join(out_dir, "grad_h.csv"), "triangle_index,gx,gy,gz\n",
-               "%d,%r,%r,%r\n", np.arange(len(grad)), grad)
+               "%s,%s\n", np.arange(len(grad)), grad)
     return ["factors.csv", "grad_h.csv"]
 
 
@@ -157,7 +165,7 @@ def _write_field(path: str, prepared, grid: dict) -> None:
         "x,y,z,ux,uy,uz,psi\n" if has_stream else
         "# stream_function: unsupported on closed surfaces\nx,y,z,ux,uy,uz\n")
     columns = [pts, vel] + ([psi] if has_stream else [])
-    _write_csv(path, header, ",".join(["%r"] * (6 + has_stream)) + "\n", *columns)
+    _write_csv(path, header, ",".join(["%s"] * len(columns)) + "\n", *columns)
 
 
 def _max_drift_rel(values: list[float]) -> float | None:
@@ -327,7 +335,7 @@ def _cmd_sample(args) -> int:
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "sample.csv")
-    _write_csv(path, "triangle,s,t,sx,sy,sz,mx,my,mz\n", "%d" + ",%r" * 8 + "\n", tri, st,
+    _write_csv(path, "triangle,s,t,sx,sy,sz,mx,my,mz\n", "%s,%s,%s,%s\n", tri, st,
                position_of(atlas.sphere_mesh, tri, st), position_of(atlas.source_mesh, tri, st))
     print(f"{args.count} samples written to {path}")
     return EXIT_OK

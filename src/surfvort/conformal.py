@@ -47,20 +47,6 @@ PCG_RTOL = 1e-12
 PCG_MAX_ITERS = 40
 
 
-@dataclass(frozen=True)
-class SparseOperator:
-    """Cotangent stiffness matrix plus lumped (barycentric) vertex areas.
-
-    `stiffness` is symmetric positive semi-definite with zero row sums:
-    S[i, j] = -w_ij off the diagonal and S[i, i] = sum_j w_ij, where
-    w_ij = (cot a + cot b) / 2 over the edge's opposite angles. The smooth
-    Laplacian corresponds to -mass^{-1} @ stiffness.
-    """
-
-    stiffness: sparse.csr_matrix
-    mass: FloatArray
-
-
 def _cot_weights(mesh: TriangleMesh) -> tuple[FloatArray, FloatArray, FloatArray]:
     """Per-face cotangents of the angles at corners 1, 2, 3."""
     a, b, c = mesh.corners()
@@ -75,8 +61,12 @@ def _cot_weights(mesh: TriangleMesh) -> tuple[FloatArray, FloatArray, FloatArray
     return cot(a, b, c), cot(b, c, a), cot(c, a, b)
 
 
-def cotan_laplacian(mesh: TriangleMesh) -> SparseOperator:
-    """Assemble the cotangent stiffness matrix and lumped vertex areas."""
+def cotan_laplacian(mesh: TriangleMesh) -> sparse.csr_matrix:
+    """The cotangent stiffness matrix S, symmetric positive semi-definite with zero row sums.
+
+    S[i, j] = -w_ij off the diagonal and S[i, i] = sum_j w_ij, where w_ij = (cot a + cot b) / 2
+    over the edge's opposite angles; the smooth Laplacian is -`lumped_mass`^{-1} S.
+    """
     cot1, cot2, cot3 = _cot_weights(mesh)
     t = mesh.triangles
     n = mesh.vertex_count
@@ -86,8 +76,7 @@ def cotan_laplacian(mesh: TriangleMesh) -> SparseOperator:
     w = 0.5 * np.concatenate([cot1, cot1, cot2, cot2, cot3, cot3])
     off = sparse.coo_matrix((-w, (rows, cols)), shape=(n, n)).tocsr()
     diag = -np.asarray(off.sum(axis=1)).ravel()
-    stiffness = (off + sparse.diags(diag)).tocsr()
-    return SparseOperator(stiffness=stiffness, mass=lumped_mass(mesh.vertices, mesh.triangles))
+    return (off + sparse.diags(diag)).tocsr()
 
 
 def lumped_mass(vertices: FloatArray, triangles) -> FloatArray:
@@ -148,7 +137,7 @@ def cmcf_to_sphere(
     if report.min_triangle_area <= mesh.degenerate_area_threshold():
         raise DegenerateTriangleError("input mesh has degenerate triangles")
 
-    delta_stiffness = (delta * cotan_laplacian(mesh).stiffness).tocsc()
+    delta_stiffness = (delta * cotan_laplacian(mesh)).tocsc()
     f = np.array(mesh.vertices)
     tris = mesh.triangles
     iterations = 0

@@ -320,12 +320,6 @@ def _require_geometry(system: VortexSystem, geometry: str) -> None:
 # Planar dynamics
 # ---------------------------------------------------------------------------
 
-def planar_vortex_velocities(system: VortexSystem) -> FloatArray:
-    """Velocity of every vortex from all the others, (n, 3) with z = 0."""
-    _require_geometry(system, PLANE)
-    return make_rhs(system)(system.positions)
-
-
 def planar_field_velocity(x, system: VortexSystem) -> FloatArray:
     """Passive fluid velocity at x (full sum over all vortices)."""
     _require_geometry(system, PLANE)
@@ -339,12 +333,6 @@ def planar_field_velocity(x, system: VortexSystem) -> FloatArray:
 # ---------------------------------------------------------------------------
 # Spherical dynamics
 # ---------------------------------------------------------------------------
-
-def sphere_vortex_velocities(system: VortexSystem) -> FloatArray:
-    """Velocity of every vortex on the unit sphere; each result is tangent."""
-    _require_geometry(system, SPHERE)
-    return make_rhs(system)(system.positions)
-
 
 def sphere_field_velocity(x, system: VortexSystem) -> FloatArray:
     _require_geometry(system, SPHERE)
@@ -477,18 +465,19 @@ def kinetic_energy(system: VortexSystem) -> float:
     pos, w = system.positions, system.strengths
     pts = _coordinate_rows(pos, system.geometry)
     partials = []
-    for start, stop, ws in _row_blocks(n, n, pts.shape[0]):
-        iu, ju = np.triu_indices(stop - start, k=1)
-        iu += start
-        ju += start
-        partials.append(_exact_sum(w[iu] * w[ju] * green(pos[iu], pos[ju])))
-        if stop < n:
-            r2 = _squared_distances(pts[:, start:stop], pts[:, stop:], ws)
-            check_squared_separation(r2, sphere)
-            terms = green_of_squared(r2, sphere, out=r2)
-            terms *= w[start:stop, None]
-            terms *= w[stop:]
-            partials.append(terms.sum())
+    with np.errstate(over="ignore"):  # overflowing squared distances give E = inf or NaN
+        for start, stop, ws in _row_blocks(n, n, pts.shape[0]):
+            iu, ju = np.triu_indices(stop - start, k=1)
+            iu += start
+            ju += start
+            partials.append(_exact_sum(w[iu] * w[ju] * green(pos[iu], pos[ju])))
+            if stop < n:
+                r2 = _squared_distances(pts[:, start:stop], pts[:, stop:], ws)
+                check_squared_separation(r2, sphere)
+                terms = green_of_squared(r2, sphere, out=r2)
+                terms *= w[start:stop, None]
+                terms *= w[stop:]
+                partials.append(terms.sum())
     return -_exact_sum(partials)
 
 

@@ -108,9 +108,9 @@ def run(
         Maps sphere positions back to the source surface for the record
         (closed surfaces only).
 
-    A singularity raised by `rhs` aborts the run, and so do positions or
-    diagnostics that are not finite; the steps recorded before are returned
-    with that step flagged rather than raised.
+    A singularity raised by `rhs` aborts the run, and so do a step that
+    overflows and positions or diagnostics that are not finite; the steps
+    recorded before are returned with that step flagged rather than raised.
     """
     if diagnostics_every < 1:
         raise ValueError("diagnostics_every must be >= 1")
@@ -121,26 +121,30 @@ def run(
     source = None if map_back is None else np.empty_like(records)
     rows = []
     collision_step, message = None, ""
-    for step in range(config.steps + 1):
-        if step:
-            try:
-                p = rk4_step(p, rhs, config.dt, planar)
-            except SingularityError as exc:
-                collision_step, message = step, str(exc)
-                break
-            # one sum is NaN or infinite when any coordinate is (or all are too large to add)
-            if not math.isfinite(p.sum()):
-                collision_step, message = step, "positions became non-finite"
-                break
-        records[step] = p
-        if source is not None:
-            source[step] = map_back(p)
-        if diagnostics is not None and (step % diagnostics_every == 0 or step == config.steps):
-            energy, h_tilde = diagnostics(p)
-            if not (math.isfinite(energy) and (h_tilde is None or math.isfinite(h_tilde))):
-                collision_step, message = step, "energy diagnostics became non-finite"
-                break
-            rows.append((step, energy, math.nan if h_tilde is None else h_tilde))
+    with np.errstate(over="raise"):  # else an overflowing step leaves stage points at 0 or NaN
+        for step in range(config.steps + 1):
+            if step:
+                try:
+                    p = rk4_step(p, rhs, config.dt, planar)
+                except SingularityError as exc:
+                    collision_step, message = step, str(exc)
+                    break
+                except FloatingPointError:
+                    collision_step, message = step, "step overflowed: non-finite state"
+                    break
+                # one sum is NaN or infinite when any coordinate is (or all are too large to add)
+                if not math.isfinite(p.sum()):
+                    collision_step, message = step, "positions became non-finite"
+                    break
+            records[step] = p
+            if source is not None:
+                source[step] = map_back(p)
+            if diagnostics is not None and (step % diagnostics_every == 0 or step == config.steps):
+                energy, h_tilde = diagnostics(p)
+                if not (math.isfinite(energy) and (h_tilde is None or math.isfinite(h_tilde))):
+                    collision_step, message = step, "energy diagnostics became non-finite"
+                    break
+                rows.append((step, energy, math.nan if h_tilde is None else h_tilde))
 
     kept = config.steps + 1 if collision_step is None else collision_step
     return RunResult(records[:kept], None if source is None else source[:kept],

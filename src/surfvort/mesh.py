@@ -87,13 +87,10 @@ class TriangleMesh:
         e = self._directed_edges()
         return e.min(axis=1) * self.vertex_count + e.max(axis=1)
 
-    def bounding_box_diagonal(self) -> float:
-        ext = self.vertices.max(axis=0) - self.vertices.min(axis=0)
-        return float(np.linalg.norm(ext))
-
     def degenerate_area_threshold(self) -> float:
         """Area below which a triangle is treated as degenerate."""
-        return DEGENERACY_FRACTION * self.bounding_box_diagonal() ** 2
+        ext = self.vertices.max(axis=0) - self.vertices.min(axis=0)
+        return DEGENERACY_FRACTION * float(np.linalg.norm(ext)) ** 2
 
     def __repr__(self) -> str:
         return f"TriangleMesh(V={self.vertex_count}, F={self.face_count})"
@@ -220,5 +217,5 @@ def load_obj(path: str | os.PathLike) -> TriangleMesh:
 def save_obj(mesh: TriangleMesh, path: str | os.PathLike) -> None:
     """Write `v` lines then `f` lines, 1-based indices, LF endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        write_rows(fh, "v %r %r %r\n", mesh.vertices)
-        write_rows(fh, "f %d %d %d\n", mesh.triangles + 1)
+        write_rows(fh, "v %s %s %s\n", *mesh.vertices.T)
+        write_rows(fh, "f %s %s %s\n", *(mesh.triangles + 1).T)

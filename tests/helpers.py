@@ -21,7 +21,7 @@ from surfvort import (
     green_sphere,
     kinetic_energy,
 )
-from surfvort.dynamics import PLANE, SPHERE
+from surfvort.dynamics import PLANE, SPHERE, make_rhs
 from surfvort.numerics import normalize_rows
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -233,3 +233,8 @@ def rotation_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
 
 
 GREEN = {PLANE: green_plane, SPHERE: green_sphere}
+
+
+def vortex_velocities(system: VortexSystem) -> np.ndarray:
+    """Velocity of every vortex of a plane or sphere system from all the others, (n, 3)."""
+    return make_rhs(system)(system.positions)

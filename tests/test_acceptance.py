@@ -21,10 +21,8 @@ from surfvort import (
     green_sphere,
     kinetic_energy,
     metric_hamiltonian,
-    planar_vortex_velocities,
     sgrad_green_plane,
     sgrad_green_sphere,
-    sphere_vortex_velocities,
     surface_vortex_velocities,
     triangle_gradient,
 )
@@ -50,6 +48,7 @@ from helpers import (
     fd_gradient_sphere,
     random_plane_system,
     random_sphere_system,
+    vortex_velocities,
 )
 
 FOUR_PI = 4.0 * math.pi
@@ -63,7 +62,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def test_c01_planar_kimura_pair():
     t0 = time.perf_counter()
     system = VortexSystem(PLANE, [[1, 0, 0], [-1, 0, 0]], [-1.0, 1.0])
-    u = planar_vortex_velocities(system)
+    u = vortex_velocities(system)
     vel_err = np.abs(u - np.array([[0, 1 / FOUR_PI, 0]] * 2)).max()
     pos = run(system, make_rhs(system), IntegratorConfig(dt=0.01, steps=1000)).records
     lateral = np.abs(pos[:, :, 0] - np.array([1.0, -1.0])).max()
@@ -88,7 +87,7 @@ def test_c02_spherical_geodesic_pair():
     p1 = [math.cos(half), math.sin(half), 0.0]
     p2 = [math.cos(half), -math.sin(half), 0.0]
     system = VortexSystem(SPHERE, [p1, p2], [-1.0, 1.0])
-    u = sphere_vortex_velocities(system)
+    u = vortex_velocities(system)
     cross_dir = np.cross(p2, p1)
     vel_alignment = np.linalg.norm(np.cross(u[0], cross_dir)) / np.linalg.norm(u[0])
     pos = run(system, make_rhs(system), IntegratorConfig(dt=5e-3, steps=1000)).records
@@ -145,8 +144,8 @@ def test_c04_energy_gradient_consistency():
     rng = np.random.default_rng(11)
     worst = {"plane": 0.0, "sphere": 0.0}
     for label, make, velocities in (
-        ("plane", random_plane_system, planar_vortex_velocities),
-        ("sphere", random_sphere_system, sphere_vortex_velocities),
+        ("plane", random_plane_system, vortex_velocities),
+        ("sphere", random_sphere_system, vortex_velocities),
     ):
         for _ in range(100):
             system = make(rng, int(rng.integers(3, 6)))

@@ -38,18 +38,18 @@ class TestCotanLaplacian:
             [[1, 1, 1], [-1, -1, 1], [-1, 1, -1], [1, -1, -1]],
             [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]],
         )
-        op = cotan_laplacian(mesh)
-        dense = op.stiffness.toarray()
+        stiffness = cotan_laplacian(mesh)
+        dense = stiffness.toarray()
         off = dense[~np.eye(4, dtype=bool)]
         np.testing.assert_allclose(off, off[0], atol=1e-14)
 
     def test_row_sums_vanish(self, ellipsoid4):
-        op = cotan_laplacian(ellipsoid4)
-        assert np.abs(np.asarray(op.stiffness.sum(axis=1))).max() < 1e-10
+        stiffness = cotan_laplacian(ellipsoid4)
+        assert np.abs(np.asarray(stiffness.sum(axis=1))).max() < 1e-10
 
     def test_off_diagonal_pattern_is_edge_pattern(self, icosphere2):
-        op = cotan_laplacian(icosphere2)
-        coo = op.stiffness.tocoo()
+        stiffness = cotan_laplacian(icosphere2)
+        coo = stiffness.tocoo()
         off = {(int(i), int(j)) for i, j, v in zip(coo.row, coo.col, coo.data) if i != j}
         edges = set()
         for i, j in icosphere2.undirected_edges():
@@ -59,17 +59,17 @@ class TestCotanLaplacian:
 
     def test_linear_functions_are_harmonic_on_flat_patch(self):
         mesh = flat_hex_patch()
-        op = cotan_laplacian(mesh)
+        stiffness = cotan_laplacian(mesh)
         for coeff in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, -0.7, 0.0]):
             f = mesh.vertices @ np.array(coeff)
-            residual = op.stiffness @ f
+            residual = stiffness @ f
             assert abs(residual[0]) < 1e-10  # interior vertex only
 
     def test_mass_sums_to_total_area(self, icosphere2):
         from surfvort.mesh import face_areas
 
-        op = cotan_laplacian(icosphere2)
-        assert op.mass.sum() == pytest.approx(face_areas(icosphere2).sum(), rel=1e-12)
+        mass = conformal.lumped_mass(icosphere2.vertices, icosphere2.triangles)
+        assert mass.sum() == pytest.approx(face_areas(icosphere2).sum(), rel=1e-12)
 
 
 def checked_flow(monkeypatch, mesh, **kwargs):

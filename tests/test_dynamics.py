@@ -15,11 +15,9 @@ from surfvort import (
     kinetic_energy,
     metric_hamiltonian,
     planar_field_velocity,
-    planar_vortex_velocities,
     position_of,
     sample_points,
     sphere_field_velocity,
-    sphere_vortex_velocities,
     stream_function,
     surface_field_velocity,
     surface_vortex_velocities,
@@ -50,6 +48,7 @@ from helpers import (
     near_sphere_pair,
     random_plane_system,
     random_sphere_system,
+    vortex_velocities,
 )
 
 FOUR_PI = 4 * math.pi
@@ -62,16 +61,16 @@ def plane_system(points, strengths):
 class TestPlanarVelocities:
     def test_opposite_pair_moves_together(self):
         system = plane_system([[1, 0, 0], [-1, 0, 0]], [-1, 1])
-        u = planar_vortex_velocities(system)
+        u = vortex_velocities(system)
         np.testing.assert_allclose(u, [[0, 1 / FOUR_PI, 0]] * 2, atol=1e-15)
 
     def test_single_vortex_is_still(self):
-        u = planar_vortex_velocities(plane_system([[0.3, -0.2, 0]], [2.5]))
+        u = vortex_velocities(plane_system([[0.3, -0.2, 0]], [2.5]))
         np.testing.assert_array_equal(u, np.zeros((1, 3)))
 
     def test_corotating_pair(self):
         system = plane_system([[1, 0, 0], [-1, 0, 0]], [1, 1])
-        u = planar_vortex_velocities(system)
+        u = vortex_velocities(system)
         np.testing.assert_allclose(u[0], [0, 1 / FOUR_PI, 0], atol=1e-15)
         np.testing.assert_allclose(u[1], [0, -1 / FOUR_PI, 0], atol=1e-15)
 
@@ -79,7 +78,7 @@ class TestPlanarVelocities:
         system = VortexSystem(PLANE, [[0, 0, 0], [1, 0, 0]], [1.0, 1.0])
         squeezed = np.array([[0, 0, 0], [5e-10, 0, 0]])
         with pytest.raises(SingularityError):
-            planar_vortex_velocities(VortexSystem(PLANE, squeezed, system.strengths, check=False))
+            vortex_velocities(VortexSystem(PLANE, squeezed, system.strengths, check=False))
 
 
 class TestPlanarField:
@@ -121,13 +120,13 @@ class TestPlanarField:
 class TestSphereVelocities:
     def test_orthogonal_pair(self):
         system = VortexSystem(SPHERE, [[1, 0, 0], [0, 1, 0]], [-1.0, 1.0])
-        u = sphere_vortex_velocities(system)
+        u = vortex_velocities(system)
         expected = np.cross([1, 0, 0], [0, 1, 0]) / FOUR_PI
         np.testing.assert_allclose(u[0], expected, atol=1e-15)
         np.testing.assert_allclose(u[1], expected, atol=1e-15)
 
     def test_single_vortex_is_still(self):
-        u = sphere_vortex_velocities(VortexSystem(SPHERE, [[0, 0, 1]], [1.0]))
+        u = vortex_velocities(VortexSystem(SPHERE, [[0, 0, 1]], [1.0]))
         np.testing.assert_array_equal(u, np.zeros((1, 3)))
 
     def test_close_opposite_pair_moves_along_cross(self):
@@ -135,14 +134,14 @@ class TestSphereVelocities:
         p1 = [math.cos(s), math.sin(s), 0.0]
         p2 = [math.cos(s), -math.sin(s), 0.0]
         system = VortexSystem(SPHERE, [p1, p2], [-1.0, 1.0])
-        u = sphere_vortex_velocities(system)
+        u = vortex_velocities(system)
         np.testing.assert_allclose(u[0], u[1], atol=1e-15)
         axis = np.cross(p2, p1)
         assert np.linalg.norm(np.cross(u[0], axis)) < 1e-12
 
     def test_tangency(self, rng):
         system = random_sphere_system(rng, 5)
-        u = sphere_vortex_velocities(system)
+        u = vortex_velocities(system)
         assert np.abs(np.sum(u * system.positions, axis=1)).max() < 1e-10
 
 
@@ -230,7 +229,7 @@ class TestPairSumAccuracy:
         pos = np.zeros((n, 3))
         pos[:, :2] = rng.uniform(-1.5, 1.5, (n, 2))
         system = plane_system(pos, rng.uniform(-1.0, 1.0, n))
-        u = planar_vortex_velocities(system)
+        u = vortex_velocities(system)
         exact = fsum_plane_velocities(system.positions, system.strengths)
         assert worst_row_error(u, exact) < 1e-12
 
@@ -239,7 +238,7 @@ class TestPairSumAccuracy:
         rng = np.random.default_rng(n)
         system = VortexSystem(SPHERE, normalize_rows(rng.normal(size=(n, 3))),
                               rng.uniform(-1.0, 1.0, n))
-        u = sphere_vortex_velocities(system)
+        u = vortex_velocities(system)
         exact = fsum_sphere_velocities(system.positions, system.strengths)
         assert worst_row_error(u, exact) < 1e-12
 
@@ -364,9 +363,9 @@ class TestBlockEdges:
         system = VortexSystem(geometry, spread_points(rng, geometry, m), rng.uniform(-1, 1, m))
         p, w = system.positions, system.strengths
         if geometry == PLANE:
-            u, whole = planar_vortex_velocities(system), whole_plane_pair_sum(p, p, w, True) / (2 * math.pi)
+            u, whole = vortex_velocities(system), whole_plane_pair_sum(p, p, w, True) / (2 * math.pi)
         else:
-            u, whole = sphere_vortex_velocities(system), whole_sphere_pair_sum(p, p, w, True) / FOUR_PI
+            u, whole = vortex_velocities(system), whole_sphere_pair_sum(p, p, w, True) / FOUR_PI
         assert np.array_equal(u, whole)
 
     @pytest.mark.parametrize("geometry", [PLANE, SPHERE])
@@ -416,9 +415,9 @@ class TestBlockEdges:
             pos[-1] = pos[-2] + [5e-10, 0.0, 0.0]
         system = VortexSystem(geometry, pos, rng.uniform(-1, 1, m), check=False)
         velocities, field, whole = (
-            (planar_vortex_velocities, planar_field_velocity, whole_plane_pair_sum)
+            (vortex_velocities, planar_field_velocity, whole_plane_pair_sum)
             if geometry == PLANE else
-            (sphere_vortex_velocities, sphere_field_velocity, whole_sphere_pair_sum))
+            (vortex_velocities, sphere_field_velocity, whole_sphere_pair_sum))
         with pytest.raises(SingularityError, match="singularity guard"):
             whole(pos, pos, system.strengths, True)
         with pytest.raises(SingularityError, match="singularity guard"):
@@ -555,7 +554,7 @@ class TestSphereNearPairs:
         pos, k = near_pair_positions()
         system = VortexSystem(SPHERE, pos, np.ones(len(pos)), check=False)
         with pytest.raises(SingularityError, match="singularity guard"):
-            sphere_vortex_velocities(system)
+            vortex_velocities(system)
         with pytest.raises(SingularityError, match=f"vortices {k} and {len(pos) - 1} "):
             VortexSystem(SPHERE, pos, np.ones(len(pos)))
 
@@ -582,7 +581,7 @@ class TestSphereNearPairs:
         rng = np.random.default_rng(17)
         for _ in range(20):
             system = VortexSystem(SPHERE, near_sphere_pair(rng, angle), [1.0, 1.0])
-            u = sphere_vortex_velocities(system)
+            u = vortex_velocities(system)
             x, y = system.positions
             assert mp_relative_error(u[0], mp_sgrad_sphere(x, y)) < 1e-14
             assert mp_relative_error(u[1], mp_sgrad_sphere(y, x)) < 1e-14
@@ -604,7 +603,7 @@ class TestSphereNearPairs:
         x = np.array([1.0, 0.0, 0.0])
         y = np.array([math.cos(angle), math.sin(angle), 0.0])
         system = VortexSystem(SPHERE, [x, y], [1.0, 1.0])
-        u = sphere_vortex_velocities(system)
+        u = vortex_velocities(system)
         d = math.atan2(np.linalg.norm(np.cross(x, y)), x @ y)
         speed = 1.0 / (math.tan(d / 2) * FOUR_PI)
         np.testing.assert_allclose(np.linalg.norm(u, axis=1), speed, rtol=1e-6)
@@ -619,7 +618,7 @@ class TestSurfaceVelocities:
         surf = VortexSystem(CLOSED_SURFACE, pos, w)
         sphere = VortexSystem(SPHERE, pos, w)
         u_surf = surface_vortex_velocities(surf, atlas)
-        u_sphere = sphere_vortex_velocities(sphere)
+        u_sphere = vortex_velocities(sphere)
         np.testing.assert_allclose(u_surf, u_sphere, atol=1e-12)
 
     def test_unbalanced_rejected(self, rng):
@@ -635,7 +634,7 @@ class TestSurfaceVelocities:
         w = np.array([1.0, -1.0, 0.5, -0.5])
         surf = VortexSystem(CLOSED_SURFACE, pos, w)
         u_surf = surface_vortex_velocities(surf, atlas)
-        u_sphere = sphere_vortex_velocities(VortexSystem(SPHERE, pos, w))
+        u_sphere = vortex_velocities(VortexSystem(SPHERE, pos, w))
         np.testing.assert_allclose(u_surf, u_sphere / 4.0, rtol=1e-9, atol=1e-12)
 
     def test_self_term_sign_must_be_unit(self, rng):
@@ -772,8 +771,8 @@ class TestEnergy:
         # operational restatement of velocity = (rotated energy gradient)/strength,
         # with the per-geometry rotation orientation documented in helpers
         for make, velocities in (
-            (random_plane_system, planar_vortex_velocities),
-            (random_sphere_system, sphere_vortex_velocities),
+            (random_plane_system, vortex_velocities),
+            (random_sphere_system, vortex_velocities),
         ):
             worst = 0.0
             for _ in range(20):

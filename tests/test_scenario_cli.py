@@ -1,15 +1,18 @@
+import copy
 import io
 import itertools
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from surfvort import save_obj
+from surfvort import cli, save_obj
 from surfvort import scenario as scenario_module
 from surfvort.cli import _grid_points, main
+from surfvort.dynamics import make_rhs
 from surfvort.errors import ScenarioError, SingularityError
 from surfvort.integrator import RunResult, run
 from surfvort.numerics import BLOCK_ROWS, normalize_rows, write_rows
@@ -376,6 +379,23 @@ class TestRunCommand:
         assert len(rows) == stop * manifest["vortex_count"]
         assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[3:6])
 
+    @pytest.mark.parametrize("name", ["kimura_sphere", "leapfrog_mesh"])
+    def test_overflowing_step_is_flagged_with_its_own_message(self, tmp_path, capsys, name):
+        # dt = 1e300 overflows the stage points' squared lengths in the first step
+        path = scenario_module.materialize_preset(name, str(tmp_path))
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc["integrator"] = {"dt": 1e300, "steps": 3}
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+            assert main(["run", write_scenario(tmp_path, doc), "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == (f"stopped at step 1 (step overflowed: non-finite state): "
+                                f"partial trajectory kept in {out}\n")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["collision"] == {"step": 1, "message": "step overflowed: non-finite state"}
+
     def test_self_term_sign_override_recorded(self, tmp_path):
         mesh_path = tmp_path / "ico.obj"
         save_obj(icosphere(2), mesh_path)
@@ -627,17 +647,70 @@ class TestOutputRoundTrip:
         _, rows = read_table(out / "field.csv")
         assert np.array_equal(floats(rows, range(len(rows[0]))), np.column_stack(columns))
 
-    def test_write_rows_matches_per_value_repr(self):
+    def test_write_rows_matches_per_value_repr(self, monkeypatch):
         # the reference is the per-value loop the writers used before block conversion
+        from surfvort import numerics
+
+        formatted = []
+        strings = numerics._strings
+        monkeypatch.setattr(numerics, "_strings", lambda b: formatted.append(len(b)) or strings(b))
         rng = np.random.default_rng(8)
-        ints = rng.integers(0, 2**40, BLOCK_ROWS * 2 + 5)
-        values = rng.normal(size=(len(ints), 3)) * 10.0 ** rng.integers(-300, 300, (len(ints), 3))
-        values[:4, 0] = [math.nan, math.inf, -0.0, 5e-324]
-        fh = io.StringIO()
-        write_rows(fh, "%d,%r,%r,,%r\n", ints, values)
-        expected = "".join(f"{i}," + ",".join(repr(float(v)) for v in row[:2]) + f",,{row[2]!r}\n"
-                           for i, row in zip(ints.tolist(), values.tolist()))
-        assert fh.getvalue() == expected
+        for rows in (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS - 1,
+                     2 * BLOCK_ROWS + 1):
+            ints = rng.integers(0, 2**40, rows)
+            values = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
+            values[:4, 0] = [math.nan, math.inf, -0.0, 5e-324][:rows]
+            values[-4:, 2] = [5e-324, -math.inf, -0.0, math.nan][-rows:]
+            labels = [f"s{i}" for i in range(rows)]
+            formatted.clear()
+            fh = io.StringIO()
+            write_rows(fh, "%s,%s,,%s;%s;%s;%s\n", ints, values[:, :2], values[:, 2], labels,
+                       values, values)
+            expected = "".join(
+                f"{i}," + ",".join(repr(float(v)) for v in row[:2]) + f",,{row[2]!r};{label};"
+                + ",".join(map(repr, row)) + ";" + ",".join(map(repr, row)) + "\n"
+                for i, row, label in zip(ints.tolist(), values.tolist(), labels))
+            assert fh.getvalue() == expected
+            # five distinct columns a block, the one passed twice formatted once
+            blocks = -(-rows // BLOCK_ROWS)
+            assert len(formatted) == 5 * blocks and max(formatted) <= BLOCK_ROWS
+
+    @pytest.mark.parametrize("geometry", ["plane", "sphere", "closed_surface"])
+    @pytest.mark.parametrize("n", [1, 5, 1000])
+    def test_trajectory_rows_match_per_value_repr(self, tmp_path, geometry, n):
+        # 1,000 vortices make one step wider than a block; 5 leave a part-filled last block
+        rng = np.random.default_rng(n)
+        k = 2 if n == 1000 else BLOCK_ROWS // n * 2 + 3
+        records = normalize_rows(rng.normal(size=(k, n, 3)))
+        source = rng.normal(size=(k, n, 3)) if geometry == "closed_surface" else None
+        if geometry == "plane":
+            records[..., 2] = 0.0
+        result = RunResult(records, source, np.empty((0, 3)))
+        path = tmp_path / "trajectories.csv"
+        cli._write_trajectories(str(path), result, geometry, 0.003)
+        m = records if source is None else source
+        lines = ["step,time,id,mx,my,mz,sx,sy,sz"]
+        for step, i in itertools.product(range(k), range(n)):
+            s = ",".join(map(repr, records[step, i].tolist()))
+            tail = ",," if geometry == "plane" else s
+            lines.append(f"{step},{step * 0.003!r},{i},"
+                         + ",".join(map(repr, m[step, i].tolist())) + f",{tail}")
+        assert path.read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("name", ["random_cloud_plane", "taylor_plane", "few"])
+    def test_plane_sampler_runs_keep_z_positive_zero(self, name):
+        # the trajectory writer prints plane z as the literal 0.0
+        doc = copy.deepcopy(presets()["random_cloud_plane" if name == "few" else name])
+        doc["integrator"]["steps"] = 30
+        if name == "few":  # few-vortex loop, with a counter vortex at z = +0.0
+            doc["sampler"]["count"] = 4
+            doc["balance"] = {"counter_vortex": [0.0, 1.5]}
+        scenario = parse_scenario(doc)
+        system = build_run(scenario).system
+        result = run(system, make_rhs(system), scenario.integrator)
+        z = result.records[..., 2]
+        assert result.completed and len(result.records) == 31
+        assert np.all(z == 0.0) and not np.signbit(z).any()
 
     def test_plane(self, tmp_path, captured):
         doc = {
