@@ -31,7 +31,7 @@ from .dynamics import (
 )
 from .errors import ScenarioError, SurfVortError
 from .integrator import IntegratorConfig
-from .mesh import TriangleMesh, face_areas, load_obj
+from .mesh import face_areas, load_obj, save_obj
 from .numerics import normalize_rows
 from .transport import BARY_SLACK, clamp_bary, position_of, sample_points
 
@@ -45,6 +45,27 @@ GRID_KEYS = {
     "sphere_grid": {"n_polar": int, "n_azimuth": int},
     "surface_samples": {"count": int},
 }
+
+# The keys each JSON object of a scenario may hold; parsing refuses any other,
+# so that a misspelt option cannot fall back silently to its default.
+SECTION_KEYS = {
+    "scenario": {"geometry", "vortices", "samplers", "sampler", "balance", "integrator",
+                 "conformal", "self_term_sign", "outputs", "diagnostics_every"},
+    "geometry": {"mesh"}, "vortex": {"strength", "position"},
+    "mesh vortex": {"strength", "triangle", "bary", "nearest"},
+    "balance": {"counter_vortex"}, "counter_vortex": {"triangle", "bary", "nearest"},
+    "sampler": {"count", "seed", "strength", "region"},
+    "sampler strength": {"law", "value", "low", "high"},
+    "plane sampler region": {"box", "disk"}, "disk region": {"center", "radius"},
+    "sphere sampler region": {"cap"}, "cap region": {"center", "angle"},
+    "integrator": {"dt", "steps", "scheme"}, "conformal": {"delta", "tol", "max_iters"},
+    "outputs": {"trajectories", "energy", "sphere_map", "factors", "field_grid"},
+    **{f"{kind} field grid": {"kind", *keys} for kind, keys in GRID_KEYS.items()},
+}
+SECTION_KEYS["ring field grid"].add("center")
+SECTION_KEYS["surface_samples field grid"].add("seed")
+# a grid of unknown kind may hold any grid key, so that a misspelt "kind" is the one named
+SECTION_KEYS["field grid"] = set().union(*(SECTION_KEYS[f"{k} field grid"] for k in GRID_KEYS))
 
 # Resource bounds checked at parse time, each at least 10x over every preset
 # and benchmark workload. The vortex count bounds the O(n^2) pair sums
@@ -146,10 +167,17 @@ def _bounded(value: int, bound: int, what: str) -> None:
     _require(value <= bound, f"{what} must be at most {bound:,}, got {value:,}")
 
 
+def _keys(spec, section: str) -> None:
+    """Refuse a key of the JSON object `spec` that `section` does not know; other values pass."""
+    for key in spec if isinstance(spec, dict) else ():
+        _require(key in SECTION_KEYS[section], f"unknown key {key!r} in {section}")
+
+
 def _section(obj: dict, key: str) -> dict:
     """The JSON object under `key`, empty when absent."""
     section = obj.get(key, {})
     _require(isinstance(section, dict), f"{key} must be a JSON object")
+    _keys(section, key)
     return section
 
 
@@ -162,7 +190,9 @@ def check_grid(grid, geometry: str, vortices: int) -> dict:
     """
     _require(isinstance(grid, dict), "field grid must be a JSON object")
     kind = grid.get("kind")
-    _require(isinstance(kind, str) and kind in GRID_KEYS, f"unknown field grid kind {kind!r}")
+    known = isinstance(kind, str) and kind in GRID_KEYS
+    _keys(grid, f"{kind} field grid" if known else "field grid")
+    _require(known, f"unknown field grid kind {kind!r}")
     checked = {"kind": kind}
     for key, conv in GRID_KEYS[kind].items():
         _require(key in grid, f"{kind} field grid needs {key!r}")
@@ -205,6 +235,7 @@ def _mesh_location(spec) -> tuple:
 def _strength_law(spec) -> tuple[str, float, float]:
     """A sampler's strength law as (law, a, b): constant a (= b), or uniform on [a, b)."""
     _require(isinstance(spec, dict), "sampler strength must be a JSON object")
+    _keys(spec, "sampler strength")
     law = spec.get("law", "constant")
     if law == "constant":
         value = _strength(spec.get("value", 1.0), "strength value")
@@ -236,6 +267,7 @@ def _sample_flat(region, geometry: str, count: int, rng: np.random.Generator) ->
     """
     if geometry == PLANE:
         region = {"box": [-1.0, 1.0, -1.0, 1.0]} if region is None else region
+        _keys(region, "plane sampler region")
         _require(isinstance(region, dict) and ("box" in region or "disk" in region),
                  "plane sampler region must define 'box' or 'disk'")
         if "box" in region:
@@ -246,6 +278,7 @@ def _sample_flat(region, geometry: str, count: int, rng: np.random.Generator) ->
             y = rng.uniform(y0, y1, count)
         else:
             disk = region["disk"]
+            _keys(disk, "disk region")
             _require(isinstance(disk, dict) and "center" in disk and "radius" in disk,
                      "disk region needs a center and a radius")
             cx, cy = _numbers(disk["center"], 2, "disk center")
@@ -257,9 +290,11 @@ def _sample_flat(region, geometry: str, count: int, rng: np.random.Generator) ->
         return np.stack([x, y, np.zeros(count)], axis=1)
     if region is None:
         return normalize_rows(rng.normal(size=(count, 3)))
+    _keys(region, "sphere sampler region")
     _require(isinstance(region, dict) and "cap" in region,
              "sphere sampler region must be null or define 'cap'")
     cap = region["cap"]
+    _keys(cap, "cap region")
     _require(isinstance(cap, dict) and "center" in cap and "angle" in cap,
              "cap region needs a center and an angle")
     center = _unit(_numbers(cap["center"], 3, "cap center"), "cap center")
@@ -280,8 +315,10 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
     only, since its locations come from a generator of its own at build time.
     """
     _require(isinstance(obj, dict), "scenario must be a JSON object")
+    _keys(obj, "scenario")
 
     geom_spec = obj.get("geometry")
+    _keys(geom_spec, "geometry")
     mesh_path = None
     if isinstance(geom_spec, str):
         _require(geom_spec in (PLANE, SPHERE), f"unknown geometry {geom_spec!r}")
@@ -303,11 +340,13 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
 
     strengths, places = [], []   # places: flat positions (rows or blocks), or mesh records
     for v in vortices:
+        _keys(v, "mesh vortex" if on_mesh else "vortex")
         _require(isinstance(v, dict) and "strength" in v, "each vortex needs a strength")
         strengths.append([_strength(v["strength"], "vortex strength")])
         places.append(_mesh_location(v) if on_mesh else _flat_position(v.get("position"), geometry))
     n = len(vortices)
     for s in samplers:
+        _keys(s, "sampler")
         _require(isinstance(s, dict) and "count" in s, "sampler needs a count")
         count = _number(s["count"], "sampler count", int, 0)
         n += count
@@ -322,11 +361,13 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
 
     balance = obj.get("balance", "reject" if on_mesh else "none")
     if isinstance(balance, dict):
+        _keys(balance, "balance")
         _require("counter_vortex" in balance, "balance object must be {'counter_vortex': pos}")
         balance_mode, spec = "counter_vortex", balance["counter_vortex"]
         if not on_mesh:
             counter = _flat_position(spec, geometry)
         elif isinstance(spec, dict):
+            _keys(spec, "counter_vortex")
             counter = _mesh_location(spec)
         else:  # a point, projected onto the sphere image
             counter = "sphere", _flat_position(spec, SPHERE)
@@ -343,9 +384,8 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
                  f"total vorticity {total:g} must vanish (balance: {balance_mode})")
     _bounded(len(w), MAX_VORTICES, "vortex count (MAX_VORTICES)")
 
-    integ = obj.get("integrator")
-    _require(isinstance(integ, dict) and "dt" in integ and "steps" in integ,
-             "integrator needs dt and steps")
+    integ = _section(obj, "integrator")
+    _require("dt" in integ and "steps" in integ, "integrator needs dt and steps")
     scheme = integ.get("scheme", "rk4")
     _require(scheme == "rk4", f"unsupported scheme {scheme!r} (only rk4)")
     try:
@@ -446,12 +486,8 @@ def build_run(scenario: Scenario) -> PreparedRun:
             mesh = load_obj(scenario.mesh_path)
         except SurfVortError as exc:
             raise ScenarioError(f"cannot load mesh: {exc}") from exc
-        atlas = build_atlas(
-            mesh,
-            delta=scenario.conformal.delta,
-            tol=scenario.conformal.tol,
-            max_iters=scenario.conformal.max_iters,
-        )
+        conf = scenario.conformal
+        atlas = build_atlas(mesh, delta=conf.delta, tol=conf.tol, max_iters=conf.max_iters)
         tri, st = zip(*(_locate(record, atlas) for record in scenario.locations))
         positions = normalize_rows(position_of(atlas.sphere_mesh, np.concatenate(tri),
                                                np.concatenate(st)))
@@ -465,10 +501,6 @@ def build_run(scenario: Scenario) -> PreparedRun:
 # ---------------------------------------------------------------------------
 # Bundled presets
 # ---------------------------------------------------------------------------
-
-def _ellipsoid_obj() -> TriangleMesh:
-    return shapes.ellipsoid(1.0, 1.0, 1.5, subdivisions=4)
-
 
 def _preset_mesh_common(vortices, samplers=None, balance="reject", dt=0.005, steps=400) -> dict:
     # sphericity tol sits above the 2562-vertex discretization floor (~2.4e-3)
@@ -624,11 +656,9 @@ def materialize_preset(name: str, out_dir: str) -> str:
     doc = docs[name]
     geom = doc.get("geometry")
     if isinstance(geom, dict) and "mesh" in geom:
-        from .mesh import save_obj
-
         mesh_file = os.path.join(out_dir, geom["mesh"])
         if not os.path.exists(mesh_file):
-            save_obj(_ellipsoid_obj(), mesh_file)
+            save_obj(shapes.ellipsoid(1.0, 1.0, 1.5, subdivisions=4), mesh_file)
     path = os.path.join(out_dir, f"{name}.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -2,12 +2,13 @@
 
 The documents are the presets, cut to a few steps, and the mesh presets moved
 onto a tiny icosphere(1), each with one to three of its values replaced by
-other JSON values. Integers are drawn small (0-4) or huge (>= 1e9), so that a
-run inside the parse-time bounds stays short and one outside them is refused
-before anything is allocated. Floats come from a short list: none is so small
-that a conformal tolerance could keep the flow from converging, and 1e300 and
-+-1e200 can stand for overflowing strengths, time steps and positions. A
-manifest that is written must be strict JSON, with no infinity or NaN.
+other JSON values or of its keys renamed. Integers are drawn small (0-4) or
+huge (>= 1e9), so that a run inside the parse-time bounds stays short and one
+outside them is refused before anything is allocated. Floats come from a
+short list: none is so small that a conformal tolerance could keep the flow
+from converging, and 1e300 and +-1e200 can stand for overflowing strengths,
+time steps and positions. A manifest that is written must be strict JSON,
+with no infinity or NaN.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import copy
 import io
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -77,6 +79,15 @@ def replace_at(doc, path, value) -> None:
     doc[path[-1]] = value
 
 
+def rename_at(doc, path, name) -> None:
+    """Rename the key at the end of `path`, keeping its value and the keys' order."""
+    for key in path[:-1]:
+        doc = doc[key]
+    items = [(name if key == path[-1] else key, value) for key, value in doc.items()]
+    doc.clear()
+    doc.update(items)
+
+
 def reject_constant(name):
     raise AssertionError(f"manifest holds {name}, which strict JSON parsers reject")
 
@@ -97,7 +108,20 @@ def test_mutated_scenario_exits_cleanly(workdir, data):
         paths = list(value_paths(doc))
         if not paths:
             break
-        replace_at(doc, data.draw(st.sampled_from(paths)), data.draw(json_values))
+        keys = [path for path in paths if isinstance(path[-1], str)]
+        if keys and data.draw(st.booleans()):
+            rename_at(doc, data.draw(st.sampled_from(keys)), data.draw(st.text(max_size=12)))
+        else:
+            replace_at(doc, data.draw(st.sampled_from(paths)), data.draw(json_values))
+    code, err = run_document(workdir, doc)
+    assert code in {0, 1, 2, 3, 4}
+    if code in {1, 2, 3}:
+        lines = err.splitlines()
+        assert sum(line.startswith("error: ") for line in lines) == 1
+
+
+def run_document(workdir, doc) -> tuple[int, str]:
+    """`surfvort run` on `doc`: the exit code and stderr; a written manifest must be strict JSON."""
     scenario = workdir / "scenario.json"
     scenario.write_text(json.dumps(doc))
     err = io.StringIO()
@@ -108,7 +132,21 @@ def test_mutated_scenario_exits_cleanly(workdir, data):
         if code in {0, 4}:
             with open(manifest, encoding="utf-8") as fh:
                 json.load(fh, parse_constant=reject_constant)
-    assert code in {0, 1, 2, 3, 4}
-    if code in {1, 2, 3}:
-        lines = err.getvalue().splitlines()
-        assert sum(line.startswith("error: ") for line in lines) == 1
+    return code, err.getvalue()
+
+
+def first_key_paths(doc) -> list[tuple]:
+    """Paths to the keys of every JSON object in `doc`, through the first element of each list."""
+    return [path for path in value_paths(doc)
+            if isinstance(path[-1], str) and all(key == 0 for key in path if isinstance(key, int))]
+
+
+@pytest.mark.parametrize("index", range(len(BASES)))
+def test_misspelt_key_is_refused(workdir, index):
+    """Every key of every preset section, misspelt, exits 1 with one error line naming it."""
+    for path in first_key_paths(BASES[index]):
+        doc = copy.deepcopy(BASES[index])
+        rename_at(doc, path, path[-1] + "_")
+        code, err = run_document(workdir, doc)
+        assert code == 1, path
+        assert re.fullmatch(f"error: unknown key '{path[-1]}_' in [a-z_ ]+\n", err), (path, err)
