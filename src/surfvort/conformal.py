@@ -32,16 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.typing import NDArray
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import ConformalMapError, DegenerateTriangleError, TopologyError
 from .mesh import TriangleMesh, face_areas, face_normals, validate_closed_genus0
-from .numerics import readonly
+from .numerics import FloatArray, readonly
 from .transport import SphereLocator
-
-FloatArray = NDArray[np.float64]
 
 # Largest max/min ratio of the current to the factored lumped mass at which the
 # kept factor still preconditions a step; beyond it the step factors afresh.

@@ -29,10 +29,8 @@ from .kernels import (
     green_plane,
     green_sphere,
 )
-from .numerics import readonly
+from .numerics import FloatArray, readonly
 from .transport import position_of
-
-FloatArray = NDArray[np.float64]
 
 PLANE = "plane"
 SPHERE = "sphere"
@@ -52,8 +50,8 @@ DEFAULT_SELF_TERM_SIGN = +1
 # few blocks: a field of 20,000 points over 5 vortices is 4 blocks, not 625.
 PAIR_BLOCK_PAIRS = 32 * 1024
 
-# Plane and sphere systems of at most this many vortices loop over their pairs
-# in Python floats (`_few_vortex_rhs`): numpy's ~1 us a call outweighs them.
+# Plane and sphere systems of at most this many vortices loop over their pairs,
+# and step, in Python floats (`_few_vortex_rhs`): numpy's ~1 us a call outweighs them.
 FEW_VORTICES = 7
 
 
@@ -281,18 +279,32 @@ def _sphere_pair_sum(targets: FloatArray, sources: FloatArray, strengths: FloatA
     return _cross(s, x)
 
 
-def _few_vortex_rhs(strengths: FloatArray, sphere: bool):
-    """The velocities of `_plane_velocities` or `_sphere_pair_sum` / 2 pi, bit for bit.
+def _few_vortex_rhs(strengths: FloatArray, sphere: bool, blocked):
+    """`blocked`'s velocities (the blocked pass's) in Python floats, bit for bit, and whole RK4 steps.
 
-    Each term repeats the blocked pass's operations, on (x, -y) rows on the
-    plane, and numpy sums under 8 terms a row as a running sum from 0.0, as here.
+    Each term repeats the pass's operations, and numpy sums under 8 terms a
+    row as a running sum from 0.0, as here. `rk4_step` is described in `integrator`.
     """
     w = strengths.tolist()
     others = [[(j, wj) for j, wj in enumerate(w) if j != i] for i in range(len(w))]
-    guard, tau = (EPS_CHORD_SQ if sphere else EPS_PLANE_SQ), 2.0 * math.pi
+    guard, tau, inf = (EPS_CHORD_SQ if sphere else EPS_PLANE_SQ), 2.0 * math.pi, math.inf
 
-    def rhs(p: FloatArray) -> FloatArray:
-        pts = p.tolist() if sphere else [(x, -y, 0.0) for x, y, _ in p.tolist()]
+    def plane(pts):
+        out = []
+        for (x, y, _), sources in zip(pts, others):
+            a = b = 0.0
+            for j, wj in sources:
+                xj, yj, _ = pts[j]
+                dx, dy = x - xj, yj - y  # the pass's (x, -y) rows: -y - -yj is yj - y
+                r2 = dx * dx + dy * dy
+                if r2 < guard:
+                    raise SingularityError("evaluation point closer than the singularity guard to a vortex")
+                q = wj / r2
+                a, b = a + q * dx, b + q * dy
+            out.append((b / tau, a / tau, 0.0))  # n x S = (S_-y, S_x)
+        return out
+
+    def sphere_(pts):
         out = []
         for (x, y, z), sources in zip(pts, others):
             a = b = c = 0.0
@@ -304,10 +316,38 @@ def _few_vortex_rhs(strengths: FloatArray, sphere: bool):
                     raise SingularityError("evaluation point closer than the singularity guard to a vortex")
                 q = wj / r2
                 a, b, c = a + q * dx, b + q * dy, c + q * dz
-            # S x x in _cross's operations on the sphere; n x S = (S_-y, S_x) on the plane
-            out.append(((b * z - c * y) / tau, (c * x - a * z) / tau, (a * y - b * x) / tau)
-                       if sphere else (b / tau, a / tau, 0.0))
-        return np.array(out, order="F" if sphere else "C")  # the blocked passes' layouts
+            out.append(((b * z - c * y) / tau, (c * x - a * z) / tau, (a * y - b * x) / tau))  # S x x
+        return out
+
+    velocities = sphere_ if sphere else plane
+
+    def advance(p, k, h):  # integrator._advance; numpy sums a row's squares in this order
+        q = [(x + h * u, y + h * v, z + h * w) for (x, y, z), (u, v, w) in zip(p, k)]
+        if sphere:  # q / 0 raises, and a row whose squares overflow drops out
+            q = [(x / s, y / s, z / s) for x, y, z in q if (s := math.sqrt(x * x + y * y + z * z)) < inf]
+            if len(q) < len(p):
+                raise FloatingPointError
+        return q
+
+    def step(p: FloatArray, dt: float) -> FloatArray:
+        try:
+            ks = [velocities(pts := p.tolist())]
+            for h in (0.5 * dt, 0.5 * dt, dt):
+                ks.append(velocities(advance(pts, ks[-1], h)))
+            q = advance(pts, [(((a1 + 2.0 * a2) + 2.0 * a3 + a4) / 6.0, ((b1 + 2.0 * b2) + 2.0 * b3 + b4) / 6.0,
+                               ((c1 + 2.0 * c2) + 2.0 * c3 + c4) / 6.0)
+                              for (a1, b1, c1), (a2, b2, c2), (a3, b3, c3), (a4, b4, c4) in zip(*ks)], dt)
+            if sphere or math.isfinite(sum(map(sum, q))):  # else inf or NaN on the plane
+                return np.array(q)
+        except (SingularityError, FloatingPointError, ZeroDivisionError):
+            pass
+        from .integrator import rk4_step  # numpy's step over the pass raises what it meets first
+        return rk4_step(p, blocked, dt, not sphere)
+
+    def rhs(p: FloatArray) -> FloatArray:
+        return np.array(velocities(p.tolist()), order="F" if sphere else "C")  # the pass's layouts
+
+    rhs.rk4_step = step
     return rhs
 
 
@@ -564,12 +604,10 @@ def make_rhs(system: VortexSystem, atlas: ConformalAtlas | None = None,
              self_term_sign: int = DEFAULT_SELF_TERM_SIGN):
     """Velocity evaluator (positions -> velocities) for a system's geometry."""
     w = system.strengths
-    if system.geometry != CLOSED_SURFACE and len(system) <= FEW_VORTICES:
-        return _few_vortex_rhs(w, system.geometry == SPHERE)
-    if system.geometry == PLANE:
-        return lambda p: _plane_velocities(p, p, w, exclude_diagonal=True)
-    if system.geometry == SPHERE:
-        return lambda p: (_sphere_pair_sum(p, p, w, exclude_diagonal=True) / (2.0 * np.pi)).T
-    if atlas is None:
-        raise ValueError("closed-surface dynamics need a conformal atlas")
-    return SurfaceVelocityEvaluator(atlas, w, self_term_sign=self_term_sign)
+    if system.geometry == CLOSED_SURFACE:
+        if atlas is None:
+            raise ValueError("closed-surface dynamics need a conformal atlas")
+        return SurfaceVelocityEvaluator(atlas, w, self_term_sign=self_term_sign)
+    rhs = ((lambda p: _plane_velocities(p, p, w, exclude_diagonal=True)) if system.geometry == PLANE
+           else lambda p: (_sphere_pair_sum(p, p, w, exclude_diagonal=True) / (2.0 * np.pi)).T)
+    return _few_vortex_rhs(w, system.geometry == SPHERE, rhs) if len(system) <= FEW_VORTICES else rhs

@@ -9,6 +9,12 @@ its flow keeps the unit sphere and the step keeps RK4's order 4 (projection
 methods: Hairer, Lubich & Wanner, Geometric Numerical Integration, IV.4).
 The right-hand side only ever sees unit vectors.
 
+Plane and sphere systems of at most `dynamics.FEW_VORTICES` vortices take
+the step in Python floats (their rhs's `rk4_step`), with the operations of
+`rk4_step` in its order and so with its bits. Python floats do not raise on
+overflow, so a step with a near pair or an overflow is taken again by numpy
+over the blocked pair pass, and `run` flags the same error at the same step.
+
 A run's result is arrays, not per-step objects: the (k, n, 3) positions of
 steps 0..k-1, on closed surfaces their map-back onto the source surface in
 an array of the same shape, and one (step, E, H_tilde) row per diagnosed
@@ -21,12 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .dynamics import PLANE, VortexSystem
 from .errors import SingularityError
-
-FloatArray = NDArray[np.float64]
+from .numerics import FloatArray
 
 
 @dataclass(frozen=True)
@@ -60,8 +64,11 @@ def rk4_step(p: FloatArray, rhs, dt: float, planar: bool) -> FloatArray:
 
     Planar velocities keep z = 0 exactly and spherical points are put back on
     the unit sphere, so the step needs no re-validation; near-collisions
-    surface through the rhs's singularity guard.
+    surface through the rhs's singularity guard. An rhs with its own
+    `rk4_step(p, dt)` takes the step itself (see the module notes).
     """
+    if hasattr(rhs, "rk4_step"):
+        return rhs.rk4_step(p, dt)
     k1 = rhs(p)
     k2 = rhs(_advance(p, k1, 0.5 * dt, planar))
     k3 = rhs(_advance(p, k2, 0.5 * dt, planar))

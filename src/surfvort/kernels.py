@@ -19,11 +19,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import SingularityError
-
-FloatArray = NDArray[np.float64]
+from .numerics import FloatArray
 
 # Pairs closer than this (Euclidean on the plane, angular on the sphere)
 # are treated as collisions rather than evaluated.

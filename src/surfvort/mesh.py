@@ -14,9 +14,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DegenerateTriangleError, MeshFormatError
-from .numerics import readonly, write_rows
+from .numerics import FloatArray, readonly, write_rows
 
-FloatArray = NDArray[np.float64]
 IntArray = NDArray[np.int64]
 
 # Triangles with area below this fraction of (bbox diagonal)^2 count as degenerate.

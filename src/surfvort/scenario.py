@@ -17,7 +17,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
 
 from . import shapes
 from .conformal import ConformalAtlas, build_atlas
@@ -32,10 +31,8 @@ from .dynamics import (
 from .errors import ScenarioError, SurfVortError
 from .integrator import IntegratorConfig
 from .mesh import face_areas, load_obj, save_obj
-from .numerics import normalize_rows
+from .numerics import FloatArray, normalize_rows
 from .transport import BARY_SLACK, clamp_bary, position_of, sample_points
-
-FloatArray = NDArray[np.float64]
 
 # Required keys of each field grid kind, with the type each converts to.
 GRID_KEYS = {
@@ -219,10 +216,10 @@ def _flat_position(position, geometry: str) -> FloatArray:
 
 def _mesh_location(spec) -> tuple:
     """A mesh location record of a 'triangle' + 'bary' [s, t] or a 'nearest' [x, y, z] spec."""
-    on_triangle = isinstance(spec, dict) and "triangle" in spec and "bary" in spec
-    _require(on_triangle or isinstance(spec, dict) and "nearest" in spec,
-             "mesh vortex needs 'triangle'+'bary' or 'nearest'")
-    if not on_triangle:
+    keys = {"triangle", "bary", "nearest"}.intersection(spec) if isinstance(spec, dict) else set()
+    _require(keys in ({"triangle", "bary"}, {"nearest"}),
+             "mesh vortex needs 'triangle'+'bary' or 'nearest', not both")
+    if keys == {"nearest"}:
         return "nearest", np.array(_numbers(spec["nearest"], 3, "vortex nearest"))
     triangle = _number(spec["triangle"], "vortex triangle", int, 0)
     _require(triangle < 2**63, "vortex triangle must be < 2**63")
@@ -268,8 +265,8 @@ def _sample_flat(region, geometry: str, count: int, rng: np.random.Generator) ->
     if geometry == PLANE:
         region = {"box": [-1.0, 1.0, -1.0, 1.0]} if region is None else region
         _keys(region, "plane sampler region")
-        _require(isinstance(region, dict) and ("box" in region or "disk" in region),
-                 "plane sampler region must define 'box' or 'disk'")
+        _require(isinstance(region, dict) and ("box" in region) != ("disk" in region),
+                 "plane sampler region must define 'box' or 'disk', not both")
         if "box" in region:
             x0, x1, y0, y1 = _numbers(region["box"], 4, "box region")
             _require(x0 <= x1 and y0 <= y1 and math.isfinite(x1 - x0) and math.isfinite(y1 - y0),
@@ -348,6 +345,7 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
     for s in samplers:
         _keys(s, "sampler")
         _require(isinstance(s, dict) and "count" in s, "sampler needs a count")
+        _require(not (on_mesh and "region" in s), "a mesh sampler must not give a region")
         count = _number(s["count"], "sampler count", int, 0)
         n += count
         _bounded(n, MAX_VORTICES, "vortex count (MAX_VORTICES)")

@@ -11,12 +11,10 @@ evaluated against changes, which makes the map bijective by construction.
 from __future__ import annotations
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import LocationError
 from .mesh import IntArray, TriangleMesh
-
-FloatArray = NDArray[np.float64]
+from .numerics import FloatArray
 
 # Slack tolerated (and clamped away) on barycentric coordinates.
 BARY_SLACK = 1e-10

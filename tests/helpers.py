@@ -124,6 +124,19 @@ def diagnostics_of(system: VortexSystem, atlas=None):
     return diagnostics
 
 
+def few_vortex_states(geometry, n):
+    """Random states, all-negative strengths and equal-y rows (zero velocity components)."""
+    rng = np.random.default_rng(100 + n)
+    for k in range(60):
+        p = rng.normal(size=(n, 3))
+        if k % 3 == 1:
+            p[:, 1] = 0.0  # the kimura_plane layout: every vortex on y = 0
+        if geometry == PLANE:
+            p[:, 2] = 0.0
+        w = rng.uniform(-2.0, 2.0, n)
+        yield (p if geometry == PLANE else normalize_rows(p)), (-np.abs(w) if k % 2 else w)
+
+
 def random_plane_system(rng: np.random.Generator, n: int, min_dist: float = 0.35,
                         box: float = 1.5) -> VortexSystem:
     pts: list[np.ndarray] = []

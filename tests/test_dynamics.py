@@ -42,6 +42,7 @@ from surfvort.shapes import icosphere
 
 from helpers import (
     fd_energy_velocity,
+    few_vortex_states,
     identity_atlas,
     mp_relative_error,
     mp_sgrad_sphere,
@@ -464,19 +465,6 @@ def blocked_velocities(geometry, p, w):
     if geometry == PLANE:
         return _plane_velocities(p, p, w, True)
     return (_sphere_pair_sum(p, p, w, True) / (2.0 * np.pi)).T
-
-
-def few_vortex_states(geometry, n):
-    """Random states, all-negative strengths and equal-y rows (zero velocity components)."""
-    rng = np.random.default_rng(100 + n)
-    for k in range(60):
-        p = rng.normal(size=(n, 3))
-        if k % 3 == 1:
-            p[:, 1] = 0.0  # the kimura_plane layout: every vortex on y = 0
-        if geometry == PLANE:
-            p[:, 2] = 0.0
-        w = rng.uniform(-2.0, 2.0, n)
-        yield (p if geometry == PLANE else normalize_rows(p)), (-np.abs(w) if k % 2 else w)
 
 
 class TestFewVortexLoop:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,11 +11,11 @@ from surfvort import (
     rk4_step,
     run,
 )
-from surfvort.dynamics import PLANE, SPHERE, make_rhs
+from surfvort.dynamics import FEW_VORTICES, PLANE, SPHERE, make_rhs
 from surfvort.integrator import _advance
 from surfvort.numerics import normalize_rows
 
-from helpers import diagnostics_of, random_plane_system, random_sphere_system
+from helpers import diagnostics_of, few_vortex_states, random_plane_system, random_sphere_system
 
 
 def advect_row(p, u, dt):
@@ -190,6 +191,95 @@ class TestRun:
         squeezed = np.array([[0.0, 0.0, 0.0], [3e-10, 0.0, 0.0]])
         with pytest.raises(SingularityError):
             rhs(squeezed)
+
+
+def numpy_step(rhs):
+    """The same velocities behind a plain callable, which has no `rk4_step` and so takes numpy's step."""
+    return lambda p: rhs(p)
+
+
+def both_steps(system, rhs, dt, steps):
+    """`run` through `rhs` as given and through `numpy_step(rhs)`, diagnosed every 10 steps."""
+    return [run(system, r, IntegratorConfig(dt=dt, steps=steps), diagnostics=diagnostics_of(system),
+                diagnostics_every=10) for r in (rhs, numpy_step(rhs))]
+
+
+def passive_overtaking(geometry):
+    """A unit vortex and two passive ones circling it, the inner one a little behind.
+
+    The inner one circles faster and passes the outer one 5e-10 (plane) or
+    8e-10 rad (sphere) inside it, within the singularity guard.
+    """
+    if geometry == PLANE:
+        lag, dr = 2e-9, 5e-10
+        p = [[0.0, 0.0, 0.0], [math.cos(-lag), math.sin(-lag), 0.0], [1.0 + dr, 0.0, 0.0]]
+    else:  # a vortex at the north pole turns the sphere clockwise about z
+        theta, dr = 0.5, 8e-10
+        lag = 3e-9 / math.sin(theta)
+        p = [[0.0, 0.0, 1.0], [math.sin(theta) * math.cos(lag), math.sin(theta) * math.sin(lag),
+                               math.cos(theta)], [math.sin(theta + dr), 0.0, math.cos(theta + dr)]]
+    return VortexSystem(geometry, p, [1.0, 0.0, 0.0])
+
+
+class TestFewVortexStep:
+    """Systems of at most FEW_VORTICES vortices take whole RK4 steps in Python floats.
+
+    Those steps must give numpy's `rk4_step` bytes, and its failures at the
+    same step with the same message.
+    """
+
+    @pytest.mark.parametrize("geometry", [PLANE, SPHERE])
+    @pytest.mark.parametrize("n", range(1, FEW_VORTICES + 2))
+    def test_records_match_the_numpy_step(self, geometry, n):
+        for p, w in itertools.islice(few_vortex_states(geometry, n), 3):
+            system = VortexSystem(geometry, p, w)
+            rhs = make_rhs(system)
+            assert hasattr(rhs, "rk4_step") == (n <= FEW_VORTICES)
+            fast, slow = both_steps(system, rhs, 0.01, 200)
+            assert fast.records.tobytes() == slow.records.tobytes()
+            assert fast.diagnostics.tobytes() == slow.diagnostics.tobytes()
+            assert (fast.collision_step, fast.collision_message) == (slow.collision_step,
+                                                                     slow.collision_message)
+
+    @pytest.mark.parametrize("geometry, step", [(PLANE, 72), (SPHERE, 25)])
+    def test_near_collision_stops_at_the_same_step(self, geometry, step):
+        system = passive_overtaking(geometry)
+        fast, slow = both_steps(system, make_rhs(system), 0.1, 200)
+        assert fast.collision_step == slow.collision_step == step
+        assert fast.collision_message == slow.collision_message == (
+            "evaluation point closer than the singularity guard to a vortex")
+        assert fast.records.tobytes() == slow.records.tobytes()
+
+    @pytest.mark.parametrize("geometry, p, dt", [
+        (PLANE, [[1.0, 1.75e308, 0.0], [-1.0, 1.75e308, 0.0]], 1e308),  # the step's last addition
+        (SPHERE, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], 1e300),  # a stage point's squared length
+    ])
+    def test_overflow_raises_as_the_numpy_step_does(self, geometry, p, dt):
+        rhs = make_rhs(VortexSystem(geometry, p, [-1.0, 1.0]))
+        raised = []
+        for r in (rhs, numpy_step(rhs)):
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError) as exc:
+                rk4_step(np.array(p), r, dt, geometry == PLANE)
+            raised.append(str(exc.value))
+        assert raised[0] == raised[1]
+
+    def test_forwarding_wrapper_takes_the_python_step(self):
+        class Counting:  # times nothing, but wraps an rhs as perfbench's tracer does
+            def __init__(self, rhs):
+                self.rhs, self.calls = rhs, 0
+
+            def __call__(self, p):
+                self.calls += 1
+                return self.rhs(p)
+
+            def __getattr__(self, name):
+                return getattr(self.rhs, name)
+
+        system = passive_overtaking(PLANE)
+        wrapped = Counting(make_rhs(system))
+        fast, slow = both_steps(system, wrapped, 0.01, 20)
+        assert wrapped.calls == 4 * 20  # all of them from the numpy step
+        assert fast.records.tobytes() == slow.records.tobytes()
 
 
 class TestInvariants:

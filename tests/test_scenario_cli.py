@@ -203,6 +203,28 @@ class TestScenarioParsing:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc", [
+        dict(PAIR_SCENARIO, sampler={"count": 4, "region": {
+            "box": [0, 1, 0, 1], "disk": {"center": [5, 5], "radius": 0.1}}}),
+        dict(MESH_PAIR, vortices=[{"triangle": 0, "bary": [0.2, 0.2], "nearest": [0, 0, 1],
+                                   "strength": 1.0}, MESH_PAIR["vortices"][1]]),
+        dict(MESH_PAIR, vortices=[{"triangle": 0, "nearest": [0, 0, 1], "strength": 1.0},
+                                  MESH_PAIR["vortices"][1]]),
+        dict(MESH_PAIR, vortices=MESH_PAIR["vortices"][:1],
+             balance={"counter_vortex": {"bary": [0.2, 0.2], "nearest": [0, 0, -1]}}),
+        dict(MESH_PAIR, sampler={"count": 2, "region": {"cap": {"center": [0, 0, 1], "angle": 0.3}}}),
+    ], ids=["box_and_disk", "triangle_and_nearest", "triangle_without_bary_and_nearest",
+            "counter_bary_and_nearest", "mesh_sampler_region"])
+    def test_conflicting_keys_are_refused(self, tmp_path, doc, capsys):
+        # each names two things where one is read, or one that is never read
+        save_obj(icosphere(2), tmp_path / "ico.obj")
+        scn = write_scenario(tmp_path, doc)
+        with pytest.raises(ScenarioError, match="not both|must not"):
+            load_scenario(scn)
+        assert main(["run", scn, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("grid", [
         {"kind": "plane_grid", "xmin": -1, "nx": 3, "ymin": -1, "ymax": 1, "ny": 3},
         {"kind": "plane_grid", "xmin": -1, "xmax": 1, "nx": -3, "ymin": -1, "ymax": 1, "ny": 3},
@@ -379,9 +401,10 @@ class TestRunCommand:
         assert len(rows) == stop * manifest["vortex_count"]
         assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[3:6])
 
-    @pytest.mark.parametrize("name", ["kimura_sphere", "leapfrog_mesh"])
+    @pytest.mark.parametrize("name", ["kimura_sphere", "leapfrog_mesh", "leapfrog_plane"])
     def test_overflowing_step_is_flagged_with_its_own_message(self, tmp_path, capsys, name):
-        # dt = 1e300 overflows the stage points' squared lengths in the first step
+        # dt = 1e300 overflows the stage points' squared lengths in the first step, or on the
+        # plane the squared separations of stage points near +-1e299
         path = scenario_module.materialize_preset(name, str(tmp_path))
         with open(path) as fh:
             doc = json.load(fh)
