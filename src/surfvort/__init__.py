@@ -51,8 +51,6 @@ from .kernels import (
     EPS_SEPARATION,
     green_plane,
     green_sphere,
-    sgrad_green_plane,
-    sgrad_green_sphere,
 )
 from .mesh import (
     TopologyReport,

@@ -13,9 +13,10 @@ matrices are SPD; with ``r = D_k / D_f`` their Rayleigh quotients differ by
 a factor between min(r, 1) and max(r, 1), and both masses total 4 pi, so
 min r <= 1 <= max r and the preconditioned condition number is at most
 ``max r / min r``. A step factors its own matrix and solves it directly
-when that spread exceeds 2 (which caps CG near 16 iterations) or when CG
-misses its tolerance within its iteration cap. Every step's solution must
-still meet the 1e-10 relative residual check. The factor takes diagonal
+when that spread exceeds 1.5 (which caps CG near 12 iterations; the blob
+of `bumpy_sphere(5)` takes two factors) or when CG misses its tolerance
+within its iteration cap, freeing the old factor first. Every step's solution
+must still meet the 1e-10 relative residual check. The factor takes diagonal
 pivots, which SPD allows, in a symmetric order: the flow runs on the vertices
 relabelled in reverse Cuthill-McKee order, and SuperLU orders A + A^T by
 minimum degree. That fills L + U 0.61-0.78x as much as COLAMD with partial
@@ -42,7 +43,7 @@ from .transport import SphereLocator
 
 # Largest max/min ratio of the current to the factored lumped mass at which the
 # kept factor still preconditions a step; beyond it the step factors afresh.
-MAX_MASS_SPREAD = 2.0
+MAX_MASS_SPREAD = 1.5
 # Per-column relative residual at which conjugate gradients stops, and the
 # iteration cap after which the step factors afresh instead.
 PCG_RTOL = 1e-12
@@ -85,10 +86,8 @@ def lumped_mass(vertices: FloatArray, triangles) -> FloatArray:
     """Barycentric vertex areas (one third of each incident triangle)."""
     v1, v2, v3 = (vertices[triangles[:, i]] for i in range(3))
     areas = 0.5 * np.linalg.norm(np.cross(v2 - v1, v3 - v1), axis=1)
-    mass = np.zeros(vertices.shape[0])
-    for i in range(3):
-        np.add.at(mass, triangles[:, i], areas / 3.0)
-    return mass
+    # corner by corner, in the order np.add.at would add the terms
+    return np.bincount(triangles.T.ravel(), np.tile(areas / 3.0, 3), vertices.shape[0])
 
 
 @dataclass(frozen=True)
@@ -170,6 +169,7 @@ def cmcf_to_sphere(
             if ratio.max() <= MAX_MASS_SPREAD * ratio.min():
                 new_f = _pcg(lhs, rhs, f, solver.solve)
         if new_f is None:
+            solver = None  # free the old factor before taking the new one
             try:
                 solver = splu(lhs, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                               options={"SymmetricMode": True})
@@ -219,11 +219,7 @@ def _pcg(lhs, rhs: FloatArray, x: FloatArray, precondition) -> FloatArray | None
 def _edge_lengths(vertices: FloatArray, tris) -> tuple[FloatArray, FloatArray, FloatArray]:
     """Lengths of edges (1,2), (2,0), (0,1) per triangle."""
     v1, v2, v3 = (vertices[tris[:, i]] for i in range(3))
-    return (
-        np.linalg.norm(v3 - v2, axis=1),
-        np.linalg.norm(v1 - v3, axis=1),
-        np.linalg.norm(v2 - v1, axis=1),
-    )
+    return tuple(np.linalg.norm(b - a, axis=1) for a, b in ((v2, v3), (v3, v1), (v1, v2)))
 
 
 def conformal_log_factors(mesh: TriangleMesh, sphere_positions: FloatArray) -> FloatArray:
@@ -247,17 +243,14 @@ def conformal_log_factors(mesh: TriangleMesh, sphere_positions: FloatArray) -> F
     # corner c touches the two edges not opposite to it
     log_src = [np.log(e) for e in src]
     log_img = [np.log(e) for e in img]
-    u = np.zeros(mesh.vertex_count)
-    count = np.zeros(mesh.vertex_count)
-    for c in range(3):
-        e1, e2, opp = (c + 1) % 3, (c + 2) % 3, c
-        corner_u = (
-            log_src[e1] + log_src[e2] - log_src[opp]
-            - log_img[e1] - log_img[e2] + log_img[opp]
-        )
-        np.add.at(u, tris[:, c], corner_u)
-        np.add.at(count, tris[:, c], 1.0)
-    if np.any(count == 0.0):
+    corner_u = [
+        log_src[e1] + log_src[e2] - log_src[opp] - log_img[e1] - log_img[e2] + log_img[opp]
+        for opp, e1, e2 in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    ]
+    corners = tris.T.ravel()  # corner by corner, in the order np.add.at would add the terms
+    u = np.bincount(corners, np.concatenate(corner_u), mesh.vertex_count)
+    count = np.bincount(corners, minlength=mesh.vertex_count)
+    if np.any(count == 0):
         raise ValueError("isolated vertex without incident triangles")
     return u / count
 
@@ -367,15 +360,10 @@ def edge_scale_residuals(atlas: ConformalAtlas) -> FloatArray:
     For each undirected edge (i, j) the discrete conformal model predicts
     L_ij = e^{(u_i + u_j) / 2} * l_ij; returns |L - prediction| / L per edge.
     """
-    edges = atlas.source_mesh.undirected_edges()
-    src = np.linalg.norm(
-        atlas.source_mesh.vertices[edges[:, 0]] - atlas.source_mesh.vertices[edges[:, 1]], axis=1
-    )
-    img = np.linalg.norm(
-        atlas.sphere_positions[edges[:, 0]] - atlas.sphere_positions[edges[:, 1]], axis=1
-    )
-    u = atlas.log_factors
-    predicted = np.exp(0.5 * (u[edges[:, 0]] + u[edges[:, 1]])) * img
+    i, j = atlas.source_mesh.undirected_edges().T
+    src = np.linalg.norm(atlas.source_mesh.vertices[i] - atlas.source_mesh.vertices[j], axis=1)
+    img = np.linalg.norm(atlas.sphere_positions[i] - atlas.sphere_positions[j], axis=1)
+    predicted = np.exp(0.5 * (atlas.log_factors[i] + atlas.log_factors[j])) * img
     return np.abs(src - predicted) / src
 
 

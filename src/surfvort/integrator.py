@@ -133,15 +133,15 @@ def run(
             if step:
                 try:
                     p = rk4_step(p, rhs, config.dt, planar)
+                    # NaN or infinite when any coordinate is; raises if finite ones overflow it
+                    if not math.isfinite(p.sum()):
+                        collision_step, message = step, "positions became non-finite"
+                        break
                 except SingularityError as exc:
                     collision_step, message = step, str(exc)
                     break
                 except FloatingPointError:
                     collision_step, message = step, "step overflowed: non-finite state"
-                    break
-                # one sum is NaN or infinite when any coordinate is (or all are too large to add)
-                if not math.isfinite(p.sum()):
-                    collision_step, message = step, "positions became non-finite"
                     break
             records[step] = p
             if source is not None:

@@ -1,6 +1,6 @@
 """Closed-form Green's functions for the plane and the unit sphere.
 
-Both kernels come with their symplectic gradients ``sgrad = n x grad``; the
+The pair sums of `dynamics` form their symplectic gradients ``n x grad``; the
 2D convention ``u = n x grad(psi)`` (counter-clockwise rotation about the
 surface normal) is fixed throughout the package. All functions are pure,
 accept single points of shape (3,) or broadcastable stacks ``(..., 3)``, and
@@ -34,8 +34,6 @@ EPS_CHORD_SQ = (2.0 * math.sin(0.5 * EPS_SEPARATION)) ** 2
 # A Green's function is this factor times the log of a squared distance:
 # -ln(r) / (2 pi) = -ln(r^2) / (4 pi).
 _GREEN_LOG_SCALE = -0.25 / math.pi
-
-PLANE_NORMAL = np.array([0.0, 0.0, 1.0])
 
 
 def squared_distance(x, y) -> FloatArray:
@@ -89,33 +87,3 @@ def green_sphere(x, y) -> FloatArray | float:
     conditioned for near pairs, where arccos(x . y) does not.
     """
     return _green(x, y, sphere=True)
-
-
-def sgrad_green_plane(x, y) -> FloatArray:
-    """Symplectic gradient of the planar kernel at x: n x (x-y) / (2 pi |x-y|^2).
-
-    The result is tangent to the plane (z component 0) and perpendicular
-    to x - y.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    r2 = squared_distance(x, y)
-    check_squared_separation(r2, sphere=False)
-    return np.cross(PLANE_NORMAL, x - y) / (2.0 * np.pi * r2[..., None])
-
-
-def sgrad_green_sphere(x, y) -> FloatArray:
-    """Symplectic gradient of the sphere kernel at x: (x cross y) / (4 pi (1 - x.y)).
-
-    Tangent at x. Computed as x cross (y - x) / (2 pi c^2) of the squared
-    chord c^2 = |x - y|^2: on the unit sphere 1 - x.y = c^2 / 2 and
-    x cross y = x cross (y - x), and the difference y - x keeps its accuracy
-    for near pairs, where 1 - x.y and x cross y lose theirs. The formula stays
-    regular at antipodal pairs (c^2 -> 4, x cross (y - x) -> 0); only
-    near-coincident pairs raise.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    c2 = squared_distance(x, y)
-    check_squared_separation(c2, sphere=True)
-    return np.cross(x, y - x) / (2.0 * np.pi * c2[..., None])

@@ -170,47 +170,71 @@ def load_obj(path: str | os.PathLike) -> TriangleMesh:
     """Load an ASCII Wavefront OBJ file.
 
     Faces with more than three corners are fan-triangulated. Face indices are
-    1-based per the OBJ convention; 0 or out-of-range indices raise
-    :class:`MeshFormatError`. `vn`, `vt` and other records are ignored, as are
-    the texture/normal slots of `f` tokens (``i/j/k`` forms).
+    1-based per the OBJ convention and may name only the vertices above their
+    line; others raise :class:`MeshFormatError`. `vn`, `vt` and other records
+    are ignored, as are the texture/normal slots of `f` tokens (``i/j/k``
+    forms). One pass over the lines converts each `v` and `f` record whole into
+    a flat list; the range check and the fan triangulation then run on arrays.
+    A file with several faults reports its first, as ``path:line: ...``.
     """
-    vertices: list[list[float]] = []
-    faces: list[list[int]] = []
+    coords, idx, vertex_lines, face_lines, face_sizes = [], [], [], [], []
+
+    def indices() -> IntArray:
+        """The faces' 1-based indices, raising for the first outside its face's range."""
+        values = np.array(idx)  # float or object dtype if an index exceeds int64
+        limits = np.repeat(np.searchsorted(vertex_lines, face_lines), face_sizes)
+        bad = np.flatnonzero((values < 1) | (values > limits))
+        if bad.size:
+            k = bad[0]
+            raise MeshFormatError(f"{path}:{np.repeat(face_lines, face_sizes)[k]}: "
+                                  f"face index {idx[k]} out of range (1..{limits[k]})")
+        return values.astype(np.int64)
+
+    def fault(lineno: int, message: str) -> MeshFormatError:
+        indices()  # a fault on an earlier face comes first
+        return MeshFormatError(f"{path}:{lineno}: {message}")
+
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            tokens = raw.split()
+            if not tokens:
                 continue
-            tokens = line.split()
-            tag = tokens[0]
+            tag = tokens[0]  # comments and all other record types are ignored
             if tag == "v":
                 if len(tokens) < 4:
-                    raise MeshFormatError(f"{path}:{lineno}: vertex record needs 3 coordinates")
+                    raise fault(lineno, "vertex record needs 3 coordinates")
                 try:
-                    vertices.append([float(tok) for tok in tokens[1:4]])
+                    coords += map(float, tokens[1:4])
                 except ValueError as exc:
-                    raise MeshFormatError(f"{path}:{lineno}: bad vertex coordinate") from exc
+                    raise fault(lineno, "bad vertex coordinate") from exc
+                vertex_lines.append(lineno)
             elif tag == "f":
                 if len(tokens) < 4:
-                    raise MeshFormatError(f"{path}:{lineno}: face record needs >= 3 indices")
+                    raise fault(lineno, "face record needs >= 3 indices")
+                start = len(idx)
                 try:
-                    idx = [int(tok.split("/")[0]) for tok in tokens[1:]]
-                except ValueError as exc:
-                    raise MeshFormatError(f"{path}:{lineno}: bad face index") from exc
-                for i in idx:
-                    if i < 1 or i > len(vertices):
-                        raise MeshFormatError(
-                            f"{path}:{lineno}: face index {i} out of range (1..{len(vertices)})"
-                        )
-                # fan triangulation around the first corner
-                for a, b in zip(idx[1:-1], idx[2:]):
-                    faces.append([idx[0] - 1, a - 1, b - 1])
-            # all other record types are ignored
-    if not vertices:
+                    idx += map(int, tokens[1:])
+                except ValueError:
+                    del idx[start:]
+                    try:
+                        idx += [int(tok.split("/")[0]) for tok in tokens[1:]]
+                    except ValueError as exc:
+                        raise fault(lineno, "bad face index") from exc
+                face_lines.append(lineno)
+                face_sizes.append(len(tokens) - 1)
+    corners = indices() - 1
+    if not coords:
         raise MeshFormatError(f"{path}: no vertices")
-    if not faces:
+    if not face_sizes:
         raise MeshFormatError(f"{path}: no faces")
-    return TriangleMesh(np.array(vertices), np.array(faces))
+    # fan triangulation: (first, c, next of c) for each corner c but a face's first and last
+    sizes = np.array(face_sizes)
+    starts = np.cumsum(sizes) - sizes
+    middle = np.ones(corners.size, dtype=bool)
+    middle[starts] = middle[starts + sizes - 1] = False
+    second = np.flatnonzero(middle)
+    triangles = corners[np.stack([np.repeat(starts, sizes - 2), second, second + 1], axis=1)]
+    return TriangleMesh(np.array(coords).reshape(-1, 3), triangles)
 
 
 def save_obj(mesh: TriangleMesh, path: str | os.PathLike) -> None:

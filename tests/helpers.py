@@ -22,6 +22,7 @@ from surfvort import (
     kinetic_energy,
 )
 from surfvort.dynamics import PLANE, SPHERE, make_rhs
+from surfvort.kernels import check_squared_separation, squared_distance
 from surfvort.numerics import normalize_rows
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -43,6 +44,36 @@ def near_sphere_pair(rng: np.random.Generator, angle: float) -> tuple[np.ndarray
     t = rng.normal(size=3)
     t -= (t @ x) * x
     return x, normalize_rows(x * math.cos(angle) + t / np.linalg.norm(t) * math.sin(angle))
+
+
+def sgrad_green_plane(x, y) -> np.ndarray:
+    """Symplectic gradient of the planar kernel at x: n x (x-y) / (2 pi |x-y|^2).
+
+    The result is tangent to the plane (z component 0) and perpendicular
+    to x - y.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    r2 = squared_distance(x, y)
+    check_squared_separation(r2, sphere=False)
+    return np.cross(EZ, x - y) / (2.0 * np.pi * r2[..., None])
+
+
+def sgrad_green_sphere(x, y) -> np.ndarray:
+    """Symplectic gradient of the sphere kernel at x: (x cross y) / (4 pi (1 - x.y)).
+
+    Tangent at x. Computed as x cross (y - x) / (2 pi c^2) of the squared
+    chord c^2 = |x - y|^2: on the unit sphere 1 - x.y = c^2 / 2 and
+    x cross y = x cross (y - x), and the difference y - x keeps its accuracy
+    for near pairs, where 1 - x.y and x cross y lose theirs. The formula stays
+    regular at antipodal pairs (c^2 -> 4, x cross (y - x) -> 0); only
+    near-coincident pairs raise.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    c2 = squared_distance(x, y)
+    check_squared_separation(c2, sphere=True)
+    return np.cross(x, y - x) / (2.0 * np.pi * c2[..., None])
 
 
 def mp_sgrad_sphere(x, y) -> list:
@@ -137,6 +168,37 @@ def few_vortex_states(geometry, n):
         yield (p if geometry == PLANE else normalize_rows(p)), (-np.abs(w) if k % 2 else w)
 
 
+def add_at_lumped_mass(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Barycentric vertex areas accumulated corner by corner with np.add.at."""
+    v1, v2, v3 = (vertices[triangles[:, i]] for i in range(3))
+    areas = 0.5 * np.linalg.norm(np.cross(v2 - v1, v3 - v1), axis=1)
+    mass = np.zeros(vertices.shape[0])
+    for i in range(3):
+        np.add.at(mass, triangles[:, i], areas / 3.0)
+    return mass
+
+
+def add_at_log_factors(mesh: TriangleMesh, sphere_positions: np.ndarray) -> np.ndarray:
+    """Per-vertex mean of the corner log-scale estimates, accumulated corner by corner with np.add.at.
+
+    The estimate at corner c is log L1 + log L2 - log L_opp minus the same of
+    the sphere lengths, with L1, L2 the lengths of the edges at c and L_opp
+    the length of the edge opposite c, added in that order.
+    """
+    def log_lengths(v):
+        v1, v2, v3 = (v[mesh.triangles[:, i]] for i in range(3))
+        return [np.log(np.linalg.norm(b - a, axis=1)) for a, b in ((v2, v3), (v3, v1), (v1, v2))]
+
+    src, img = log_lengths(mesh.vertices), log_lengths(sphere_positions)
+    u = np.zeros(mesh.vertex_count)
+    count = np.zeros(mesh.vertex_count)
+    for c in range(3):
+        e1, e2 = (c + 1) % 3, (c + 2) % 3
+        np.add.at(u, mesh.triangles[:, c], src[e1] + src[e2] - src[c] - img[e1] - img[e2] + img[c])
+        np.add.at(count, mesh.triangles[:, c], 1.0)
+    return u / count
+
+
 def random_plane_system(rng: np.random.Generator, n: int, min_dist: float = 0.35,
                         box: float = 1.5) -> VortexSystem:
     pts: list[np.ndarray] = []
@@ -196,6 +258,20 @@ def brute_force_locate(mesh: TriangleMesh, p: np.ndarray) -> int:
     if idx.size == 0:
         raise AssertionError("oracle found no containing triangle")
     return int(idx[0])
+
+
+def reference_load_obj(path) -> TriangleMesh:
+    """`v` and `f` records parsed token by token, faces fan-triangulated line by line (no checks)."""
+    vertices, faces = [], []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            tokens = line.split()
+            if tokens and tokens[0] == "v":
+                vertices.append([float(tok) for tok in tokens[1:4]])
+            elif tokens and tokens[0] == "f":
+                idx = [int(tok.split("/")[0]) - 1 for tok in tokens[1:]]
+                faces += [[idx[0], a, b] for a, b in zip(idx[1:-1], idx[2:])]
+    return TriangleMesh(np.array(vertices), np.array(faces))
 
 
 def edge_census(mesh: TriangleMesh) -> dict:

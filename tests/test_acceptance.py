@@ -21,8 +21,6 @@ from surfvort import (
     green_sphere,
     kinetic_energy,
     metric_hamiltonian,
-    sgrad_green_plane,
-    sgrad_green_sphere,
     surface_vortex_velocities,
     triangle_gradient,
 )
@@ -48,6 +46,8 @@ from helpers import (
     fd_gradient_sphere,
     random_plane_system,
     random_sphere_system,
+    sgrad_green_plane,
+    sgrad_green_sphere,
     vortex_velocities,
 )
 

@@ -18,8 +18,8 @@ from surfvort import conformal
 from surfvort.conformal import angle_distortions, edge_scale_residuals
 from surfvort.shapes import ellipsoid, icosphere
 
-from conftest import BLOB_TOL
-from helpers import rotation_matrix, torus_mesh
+from conftest import BLOB_TOL, ELLIPSOID_TOL
+from helpers import add_at_log_factors, add_at_lumped_mass, rotation_matrix, torus_mesh
 
 
 def flat_hex_patch():
@@ -70,6 +70,16 @@ class TestCotanLaplacian:
 
         mass = conformal.lumped_mass(icosphere2.vertices, icosphere2.triangles)
         assert mass.sum() == pytest.approx(face_areas(icosphere2).sum(), rel=1e-12)
+
+    def test_vertex_sums_match_corner_by_corner_accumulation(self, blob4, ellipsoid4):
+        # the bincount sums add each vertex's terms in np.add.at's order, so bit for bit
+        for mesh in (blob4, ellipsoid4):
+            sphere = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1, keepdims=True)
+            for positions in (mesh.vertices, sphere):
+                assert np.array_equal(conformal.lumped_mass(positions, mesh.triangles),
+                                      add_at_lumped_mass(positions, mesh.triangles))
+            assert np.array_equal(conformal_log_factors(mesh, sphere),
+                                  add_at_log_factors(mesh, sphere))
 
 
 def checked_flow(monkeypatch, mesh, **kwargs):
@@ -143,10 +153,18 @@ class TestCmcf:
         assert result.sphericity_residual == pytest.approx(direct.sphericity_residual, rel=1e-9)
         np.testing.assert_allclose(result.positions, direct.positions, rtol=0.0, atol=1e-10)
 
-    def test_blob_factors_once(self, monkeypatch, blob4):
+    def test_blob_factors_twice(self, monkeypatch, blob4):
+        # the mass spread passes MAX_MASS_SPREAD = 1.5 once in the blob's 18 steps
         result, direct, factors = checked_flow(monkeypatch, blob4, tol=BLOB_TOL)
-        assert factors == 1
+        assert factors == 2
         assert result.converged and result.iterations_used > 10
+        self.assert_same_flow(result, direct)
+
+    def test_preset_ellipsoid_flow_matches_fresh_factors(self, monkeypatch, ellipsoid4):
+        # the mesh of every mesh preset, at the presets' tol: 25 steps on 3 factors
+        result, direct, factors = checked_flow(monkeypatch, ellipsoid4, tol=ELLIPSOID_TOL)
+        assert 2 <= factors < result.iterations_used
+        assert result.converged
         self.assert_same_flow(result, direct)
 
     def test_elongated_ellipsoid_refactors(self, monkeypatch):
@@ -169,12 +187,12 @@ class TestCmcf:
         np.testing.assert_allclose(moved.positions[relabel], result.positions, rtol=0.0, atol=1e-10)
 
     def test_factor_order_cuts_fill(self, monkeypatch, blob4):
-        """The kept factor (reverse Cuthill-McKee labels, then minimum degree
+        """Every kept factor (reverse Cuthill-McKee labels, then minimum degree
         on A + A^T with diagonal pivots) fills L + U at most 0.85x as much as
         a plain splu (COLAMD, partial pivoting) of the same matrix. Measured:
-        0.65 here; against a plain splu of the input labelling, 0.61-0.78 on
-        icospheres, ellipsoids and bumpy spheres at 4 to 6 subdivisions, as
-        built and under random relabellings."""
+        0.65 for both factors here; against a plain splu of the input
+        labelling, 0.61-0.78 on icospheres, ellipsoids and bumpy spheres at 4
+        to 6 subdivisions, as built and under random relabellings."""
         kept = []
 
         def keeping_splu(lhs, **kw):
@@ -183,9 +201,10 @@ class TestCmcf:
 
         monkeypatch.setattr(conformal, "splu", keeping_splu)
         cmcf_to_sphere(blob4, tol=BLOB_TOL)
-        (lhs, factor), = kept
-        plain = splu(lhs)
-        assert factor.L.nnz + factor.U.nnz <= 0.85 * (plain.L.nnz + plain.U.nnz)
+        assert kept
+        for lhs, factor in kept:
+            plain = splu(lhs)
+            assert factor.L.nnz + factor.U.nnz <= 0.85 * (plain.L.nnz + plain.U.nnz)
 
     def test_missed_cg_tolerance_factors_afresh(self, monkeypatch, blob4):
         calls = []

@@ -36,7 +36,7 @@ from surfvort.dynamics import (
     nearest_vortex_distance,
 )
 from surfvort.integrator import run
-from surfvort.kernels import EPS_CHORD_SQ, EPS_SEPARATION, sgrad_green_sphere
+from surfvort.kernels import EPS_CHORD_SQ, EPS_SEPARATION
 from surfvort.numerics import normalize_rows
 from surfvort.shapes import icosphere
 
@@ -49,6 +49,7 @@ from helpers import (
     near_sphere_pair,
     random_plane_system,
     random_sphere_system,
+    sgrad_green_sphere,
     vortex_velocities,
 )
 

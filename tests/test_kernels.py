@@ -8,8 +8,6 @@ from surfvort import (
     SingularityError,
     green_plane,
     green_sphere,
-    sgrad_green_plane,
-    sgrad_green_sphere,
 )
 from surfvort.numerics import normalize_rows
 
@@ -19,6 +17,8 @@ from helpers import (
     mp_relative_error,
     mp_sgrad_sphere,
     near_sphere_pair,
+    sgrad_green_plane,
+    sgrad_green_sphere,
 )
 
 

@@ -12,9 +12,10 @@ from surfvort import (
     validate_closed_genus0,
 )
 from surfvort.mesh import face_areas, face_normals
-from surfvort.shapes import icosahedron, icosphere
+from surfvort.scenario import materialize_preset, presets
+from surfvort.shapes import bumpy_sphere, icosahedron, icosphere
 
-from helpers import edge_census, torus_mesh
+from helpers import edge_census, reference_load_obj, torus_mesh
 
 TETRA_OBJ = """\
 # tetrahedron
@@ -65,6 +66,72 @@ class TestLoadObj:
     def test_empty_mesh(self, tmp_path):
         with pytest.raises(MeshFormatError):
             load_obj(_write(tmp_path, "# nothing\n"))
+
+    @pytest.mark.parametrize("text, lineno, message", [
+        ("v 0 0 0\nv 1 0\n", 2, "vertex record needs 3 coordinates"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\n", 4, "face record needs >= 3 indices"),
+        ("v 0 0 0\n# note\nv 1 0 1e\n", 3, "bad vertex coordinate"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 three\n", 4, "bad face index"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 x/2 3\n", 4, "bad face index"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\n\nf 1 0 3\n", 5, "face index 0 out of range (1..3)"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 -4\n", 4, "face index -4 out of range (1..3)"),
+        # a face may use only the vertices defined above it
+        ("v 0 0 0\nv 1 0 0\nf 1 2 3\nv 0 1 0\n", 3, "face index 3 out of range (1..2)"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2 99999999999999999999\n", 5,
+         "face index 99999999999999999999 out of range (1..3)"),
+    ])
+    def test_fault_names_its_line(self, tmp_path, text, lineno, message):
+        path = _write(tmp_path, text)
+        with pytest.raises(MeshFormatError) as info:
+            load_obj(path)
+        assert str(info.value) == f"{path}:{lineno}: {message}"
+
+    @pytest.mark.parametrize("text, lineno, message", [
+        # an out-of-range face above a record that fails to parse
+        ("v 0 0 0\nv 1 0 0\nf 1 2 3\nv 0 1 0\nv 0 0\n", 3, "face index 3 out of range (1..2)"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\nf 1 2 x\n", 4, "face index 4 out of range (1..3)"),
+        # a record that fails to parse above an out-of-range face
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\nf 1 2 4\n", 4, "face record needs >= 3 indices"),
+        # two out-of-range faces, and two out-of-range indices of one face
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 3 2 5\nf 0 1 2\n", 4, "face index 5 out of range (1..3)"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 7 4\n", 4, "face index 7 out of range (1..3)"),
+    ])
+    def test_first_of_two_faults_is_reported(self, tmp_path, text, lineno, message):
+        path = _write(tmp_path, text)
+        with pytest.raises(MeshFormatError) as info:
+            load_obj(path)
+        assert str(info.value) == f"{path}:{lineno}: {message}"
+
+    def test_mixed_faces_fan_triangulate_in_file_order(self, tmp_path):
+        text = "".join(f"v {k} {k * k} 0\n" for k in range(8)) + (
+            "f 1 2 3\nf 2 3 4 5\nf 4 5 6 7 8\nf 8 1 2\n")
+        mesh = load_obj(_write(tmp_path, text))
+        np.testing.assert_array_equal(mesh.triangles, [
+            [0, 1, 2],
+            [1, 2, 3], [1, 3, 4],
+            [3, 4, 5], [3, 5, 6], [3, 6, 7],
+            [7, 0, 1],
+        ])
+
+    def test_index_forms_line_endings_and_vertex_colours(self, tmp_path):
+        lines = ["v 0 0 0 1 0 0", "v 1 0 0 0.5 0.5 0.5", "vt 0 0", "vn 0 0 1", "v 0 1 0",
+                 "v 1 1 0 0 0 1", "f 1/1/1 2/1/1 3/1/1", "f 2//1 4//1 3//1", "f 1/1 2 4/1"]
+        path = tmp_path / "mesh.obj"
+        path.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+        mesh = load_obj(path)
+        np.testing.assert_array_equal(mesh.vertices, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
+        np.testing.assert_array_equal(mesh.triangles, [[0, 1, 2], [1, 3, 2], [0, 1, 3]])
+
+    def test_matches_token_by_token_parse_on_preset_and_blob_meshes(self, tmp_path):
+        for name in presets():
+            materialize_preset(name, str(tmp_path))
+        save_obj(bumpy_sphere(5), tmp_path / "blob.obj")
+        paths = sorted(tmp_path.glob("*.obj"))
+        assert len(paths) == 2
+        for path in paths:
+            mesh, reference = load_obj(path), reference_load_obj(path)
+            assert np.array_equal(mesh.vertices, reference.vertices)
+            assert np.array_equal(mesh.triangles, reference.triangles)
 
     def test_roundtrip_is_idempotent(self, tmp_path):
         mesh = icosphere(2)

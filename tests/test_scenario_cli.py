@@ -419,6 +419,22 @@ class TestRunCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["collision"] == {"step": 1, "message": "step overflowed: non-finite state"}
 
+    def test_positions_too_large_to_sum_are_flagged(self, tmp_path, capsys):
+        # each coordinate is finite, but their sum in the step's finiteness check overflows
+        doc = dict(PAIR_SCENARIO, integrator={"dt": 0.01, "steps": 3}, vortices=[
+            {"position": [1e308, 0.0], "strength": -1.0},
+            {"position": [1e308, 1.0], "strength": 1.0},
+        ])
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", write_scenario(tmp_path, doc), "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == (f"stopped at step 1 (step overflowed: non-finite state): "
+                                f"partial trajectory kept in {out}\n")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["collision"] == {"step": 1, "message": "step overflowed: non-finite state"}
+
     def test_self_term_sign_override_recorded(self, tmp_path):
         mesh_path = tmp_path / "ico.obj"
         save_obj(icosphere(2), mesh_path)
