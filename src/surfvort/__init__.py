@@ -23,12 +23,10 @@ from .dynamics import (
     energy_diagnostics,
     kinetic_energy,
     make_rhs,
-    metric_hamiltonian,
     planar_field_velocity,
     sphere_field_velocity,
     stream_function,
     surface_field_velocity,
-    surface_vortex_velocities,
 )
 from .errors import (
     ConformalMapError,
@@ -49,8 +47,6 @@ from .integrator import (
 )
 from .kernels import (
     EPS_SEPARATION,
-    green_plane,
-    green_sphere,
 )
 from .mesh import (
     TopologyReport,

@@ -320,10 +320,6 @@ class ConformalAtlas:
         s, t = st[:, 0], st[:, 1]
         return (1.0 - s - t) * h[:, 0] + s * h[:, 1] + t * h[:, 2]
 
-    def grad_factor_at(self, tri) -> FloatArray:
-        """Constant per-triangle gradients of h on the sphere mesh, (n, 3)."""
-        return self.triangle_grad_h[tri]
-
 
 def build_atlas(
     mesh: TriangleMesh,

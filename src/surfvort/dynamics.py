@@ -26,8 +26,6 @@ from .kernels import (
     EPS_SEPARATION,
     check_squared_separation,
     green_of_squared,
-    green_plane,
-    green_sphere,
 )
 from .numerics import FloatArray, readonly
 from .transport import position_of
@@ -79,9 +77,9 @@ def _squared_distances(tgt: FloatArray, src: FloatArray, ws: FloatArray) -> Floa
     """|x - p|^2 between targets tgt (c, rows) and sources src (c, k), as a (rows, k) view of ws.
 
     tgt and src hold one coordinate per row: x and y on the plane, x, y and z
-    on the sphere, which are summed in that order as in
-    `kernels.squared_distance`. The differences are squared in place in the
-    first c planes of the block workspace ws, and the result is the first.
+    on the sphere, which are summed in that order. The differences are
+    squared in place in the first c planes of the block workspace ws, and the
+    result is the first.
     """
     c = tgt.shape[0]
     d = ws[:c, :, :src.shape[1]]
@@ -387,24 +385,6 @@ def sphere_field_velocity(x, system: VortexSystem) -> FloatArray:
 # Closed-surface dynamics (on the conformal sphere image)
 # ---------------------------------------------------------------------------
 
-def surface_vortex_velocities(
-    system: VortexSystem,
-    atlas: ConformalAtlas,
-    self_term_sign: int = DEFAULT_SELF_TERM_SIGN,
-) -> FloatArray:
-    """Vortex velocities on the sphere image of a closed surface.
-
-    u(p_j) = [ sum_{i != j} w_i (p_j x p_i) / (1 - p_j . p_i)
-               + sign * (w_j / h_j) p_j x grad_h(p_j) ] / (4 pi h_j^2)
-
-    with h and grad h interpolated from the atlas at each vortex's sphere-mesh
-    location; `self_term_sign` selects the self-term orientation (the default
-    is fixed by the conserved-Hamiltonian experiment).
-    """
-    _require_geometry(system, CLOSED_SURFACE)
-    return make_rhs(system, atlas, self_term_sign)(system.positions)
-
-
 def surface_field_velocity(
     x,
     system: VortexSystem,
@@ -479,79 +459,54 @@ def nearest_vortex_distance(x, system: VortexSystem) -> FloatArray:
     return 2.0 * np.arcsin(np.minimum(0.5 * dist, 1.0))
 
 
-def _exact_sum(values) -> float:
-    """`math.fsum`, but NaN where it would raise: infinities of both signs, or overflow."""
-    try:
-        return math.fsum(values)
-    except (ValueError, OverflowError):
-        return math.nan
-
-
 def kinetic_energy(system: VortexSystem) -> float:
     """Excess kinetic energy E = -sum_{i<j} w_i w_j G(p_i, p_j).
 
     For closed-surface systems the sphere kernel is evaluated on the vortex
-    images (the sphere part of the metric Hamiltonian). Each block of rows
-    contributes the exact sum of its own pairs and the plain sum of its pairs
-    with all later vortices; E is the exact sum of these partials. A system
-    of one block therefore gets the exactly rounded pair sum. Positions far
-    enough apart that a squared distance overflows give an infinite or NaN E.
+    images (the sphere part of the metric Hamiltonian). One pass takes each
+    pair once: a block of rows meets itself and every later vortex, with its
+    pairs j <= i set to the squared distance whose G is 0. E is the exact sum
+    of the blocks' plain sums. Positions far enough apart that a squared
+    distance overflows give an infinite or NaN E.
     """
     n = len(system)
     if n < 2:
         return 0.0
     sphere = system.geometry != PLANE
-    green = green_sphere if sphere else green_plane
-    pos, w = system.positions, system.strengths
-    pts = _coordinate_rows(pos, system.geometry)
+    neutral = 4.0 if sphere else 1.0  # G = 0 at r^2 = 1, and at chord^2 / 4 = 1
+    w, pts = system.strengths, _coordinate_rows(system.positions, system.geometry)
     partials = []
-    with np.errstate(over="ignore"):  # overflowing squared distances give E = inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing squared distances give E = inf or NaN
         for start, stop, ws in _row_blocks(n, n, pts.shape[0]):
-            iu, ju = np.triu_indices(stop - start, k=1)
-            iu += start
-            ju += start
-            partials.append(_exact_sum(w[iu] * w[ju] * green(pos[iu], pos[ju])))
-            if stop < n:
-                r2 = _squared_distances(pts[:, start:stop], pts[:, stop:], ws)
-                check_squared_separation(r2, sphere)
-                terms = green_of_squared(r2, sphere, out=r2)
-                terms *= w[start:stop, None]
-                terms *= w[stop:]
-                partials.append(terms.sum())
-    return -_exact_sum(partials)
-
-
-def _factor_term(system: VortexSystem, atlas: ConformalAtlas) -> float:
-    """(1 / 4 pi) * sum_i w_i^2 * log h(p_i), the metric Hamiltonian's factor term."""
-    _require_geometry(system, CLOSED_SURFACE)
-    _require_balanced(system.strengths)
-    log_h = np.log(atlas.factor_at(*atlas.locator.locate(system.positions)))
-    return math.fsum(system.strengths * system.strengths * log_h) / (4.0 * np.pi)
-
-
-def metric_hamiltonian(system: VortexSystem, atlas: ConformalAtlas) -> float:
-    """Conserved Hamiltonian of the closed-surface dynamics.
-
-    The sphere-kernel energy of the vortex images minus
-    (1 / 4 pi) * sum_i w_i^2 * log h(p_i), valid under vanishing total
-    vorticity.
-    """
-    term = _factor_term(system, atlas)
-    return kinetic_energy(system) - term
+            r2 = _squared_distances(pts[:, start:stop], pts[:, start:], ws)
+            r2[np.tril_indices(stop - start)] = neutral
+            check_squared_separation(r2, sphere)
+            terms = green_of_squared(r2, sphere, out=r2)
+            terms *= w[start:stop, None]
+            terms *= w[start:]
+            partials.append(terms.sum())
+    try:
+        return -math.fsum(partials)
+    except (ValueError, OverflowError):  # infinities of both signs, or an overflowing sum
+        return math.nan
 
 
 def energy_diagnostics(system: VortexSystem,
                        atlas: ConformalAtlas | None = None) -> tuple[float, float | None]:
     """(E, H_tilde) of a system state; H_tilde is None except on closed surfaces.
 
-    E is computed once: H_tilde is E minus the factor term, as in
-    `metric_hamiltonian`.
+    H_tilde is the conserved Hamiltonian of the closed-surface dynamics under
+    vanishing total vorticity: the sphere-kernel energy E of the vortex images
+    minus (1 / 4 pi) * sum_i w_i^2 * log h(p_i). E is computed once.
     """
     if system.geometry != CLOSED_SURFACE:
         return kinetic_energy(system), None
     if atlas is None:
         raise ValueError("closed-surface diagnostics need the conformal atlas")
-    term = _factor_term(system, atlas)
+    w = system.strengths
+    _require_balanced(w)
+    log_h = np.log(atlas.factor_at(*atlas.locator.locate(system.positions)))
+    term = math.fsum(w * w * log_h) / (4.0 * np.pi)
     e = kinetic_energy(system)
     return e, e - term
 
@@ -587,11 +542,17 @@ class SurfaceVelocityEvaluator:
         return tri, st
 
     def __call__(self, p: FloatArray) -> FloatArray:
-        """Velocities of the vortices at sphere points p; see `surface_vortex_velocities`."""
+        """Velocities of the vortices at sphere points p, (n, 3):
+
+        u(p_j) = [ sum_{i != j} w_i (p_j x p_i) / (1 - p_j . p_i)
+                   + sign * (w_j / h_j) p_j x grad_h(p_j) ] / (4 pi h_j^2)
+
+        with h interpolated at each vortex's sphere-mesh location and grad h its triangle's.
+        """
         tri, st = self.locate(p)
         pair = 2.0 * _sphere_pair_sum(p, p, self.strengths, exclude_diagonal=True)
         h = self.atlas.factor_at(tri, st)
-        grad_h = self.atlas.grad_factor_at(tri).T[_WRAP]
+        grad_h = self.atlas.triangle_grad_h[tri].T[_WRAP]
         self_term = (self.strengths / h) * _cross(p.T[_WRAP], grad_h)
         return ((pair + self.self_term_sign * self_term) / (4.0 * np.pi * (h * h))).T
 

@@ -1,17 +1,14 @@
-"""Closed-form Green's functions for the plane and the unit sphere.
+"""Closed-form Green's functions of squared distances, for the plane and the unit sphere.
 
-The pair sums of `dynamics` form their symplectic gradients ``n x grad``; the
-2D convention ``u = n x grad(psi)`` (counter-clockwise rotation about the
-surface normal) is fixed throughout the package. All functions are pure,
-accept single points of shape (3,) or broadcastable stacks ``(..., 3)``, and
-raise :class:`SingularityError` for pairs closer than ``EPS_SEPARATION``.
-
-Every guard compares squared distances: ``|x - y|^2`` against
-``EPS_SEPARATION^2`` on the plane, and on the sphere the squared chord
-against the squared chord of the angle ``EPS_SEPARATION``,
-``(2 sin(EPS_SEPARATION / 2))^2``. Both Green's functions are the log of a
-squared distance, the sphere's through the chord ``|x - y| = 2 sin(d / 2)``
-of the angle d, so neither takes a square root, an arccos or an arcsin.
+The pair passes of `dynamics` compute the squared distances and form the
+symplectic gradients ``n x grad``; the 2D convention ``u = n x grad(psi)``
+(counter-clockwise rotation about the surface normal) is fixed throughout the
+package. Both Green's functions are the log of a squared distance, the
+sphere's through the chord ``|x - y| = 2 sin(d / 2)`` of the angle d, so
+neither takes a square root, an arccos or an arcsin. The singularity guard
+compares squared distances too: ``|x - y|^2`` against ``EPS_SEPARATION^2``
+on the plane, and on the sphere the squared chord against that of the angle
+``EPS_SEPARATION``; a pair inside it raises :class:`SingularityError`.
 """
 
 from __future__ import annotations
@@ -36,16 +33,6 @@ EPS_CHORD_SQ = (2.0 * math.sin(0.5 * EPS_SEPARATION)) ** 2
 _GREEN_LOG_SCALE = -0.25 / math.pi
 
 
-def squared_distance(x, y) -> FloatArray:
-    """|x - y|^2 over the last axis, summed in the order x, y, z.
-
-    The pair passes of `dynamics` add their squared components in the same
-    order, so they get the same bits.
-    """
-    d = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-    return np.asarray(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2])
-
-
 def green_of_squared(sq: FloatArray, sphere: bool, out: FloatArray) -> FloatArray:
     """The plane or sphere Green's function of squared distances `sq`, into `out`.
 
@@ -66,24 +53,3 @@ def check_squared_separation(sq: FloatArray, sphere: bool) -> None:
             f"{'spherical' if sphere else 'planar'} kernel evaluated at separation "
             f"below {EPS_SEPARATION:g}"
         )
-
-
-def _green(x, y, sphere: bool) -> FloatArray | float:
-    sq = squared_distance(x, y)
-    check_squared_separation(sq, sphere)
-    g = green_of_squared(sq, sphere, out=np.empty_like(sq))
-    return float(g) if g.ndim == 0 else g
-
-
-def green_plane(x, y) -> FloatArray | float:
-    """Planar Green's function -ln|x - y| / (2 pi); symmetric in its arguments."""
-    return _green(x, y, sphere=False)
-
-
-def green_sphere(x, y) -> FloatArray | float:
-    """Unit-sphere Green's function -ln(sin(d/2)) / (2 pi) of the angle d.
-
-    Computed from the chord, sin(d / 2) = |x - y| / 2, which stays well
-    conditioned for near pairs, where arccos(x . y) does not.
-    """
-    return _green(x, y, sphere=True)

@@ -174,24 +174,41 @@ def load_obj(path: str | os.PathLike) -> TriangleMesh:
     line; others raise :class:`MeshFormatError`. `vn`, `vt` and other records
     are ignored, as are the texture/normal slots of `f` tokens (``i/j/k``
     forms). One pass over the lines converts each `v` and `f` record whole into
-    a flat list; the range check and the fan triangulation then run on arrays.
-    A file with several faults reports its first, as ``path:line: ...``.
+    a flat list; the fan triangulation and the checks of values then run on
+    arrays. A file with several faults reports its first, as ``path:line: ...``.
     """
     coords, idx, vertex_lines, face_lines, face_sizes = [], [], [], [], []
 
-    def indices() -> IntArray:
-        """The faces' 1-based indices, raising for the first outside its face's range."""
+    def checked() -> tuple[FloatArray, IntArray]:
+        """The vertices and fan triangles, raising for the first in file order of a non-finite
+        vertex, a face index out of range and a face that repeats a vertex."""
         values = np.array(idx)  # float or object dtype if an index exceeds int64
-        limits = np.repeat(np.searchsorted(vertex_lines, face_lines), face_sizes)
-        bad = np.flatnonzero((values < 1) | (values > limits))
-        if bad.size:
-            k = bad[0]
-            raise MeshFormatError(f"{path}:{np.repeat(face_lines, face_sizes)[k]}: "
-                                  f"face index {idx[k]} out of range (1..{limits[k]})")
-        return values.astype(np.int64)
+        sizes = np.array(face_sizes, dtype=np.int64)
+        limits = np.repeat(np.searchsorted(vertex_lines, face_lines), sizes)
+        # fan triangulation: (first, c, next of c) for each corner c but a face's first and last
+        starts = np.cumsum(sizes) - sizes
+        middle = np.ones(values.size, dtype=bool)
+        middle[starts] = middle[starts + sizes - 1] = False
+        second = np.flatnonzero(middle)
+        fan = np.stack([np.repeat(starts, sizes - 2), second, second + 1], axis=1)
+        t, vertices = values[fan], np.array(coords).reshape(-1, 3)
+        faults = []  # (line, message); of two on one line the range fault is reported
+        if not np.isfinite(vertices).all():
+            k = np.flatnonzero(~np.isfinite(vertices).all(axis=1))[0]
+            faults.append((vertex_lines[k], "non-finite vertex coordinate"))
+        if (bad := np.flatnonzero((values < 1) | (values > limits))).size:
+            k = bad[0]  # a corner; the face that owns it is the last to start at or before it
+            faults.append((face_lines[np.searchsorted(starts, k, "right") - 1],
+                           f"face index {idx[k]} out of range (1..{limits[k]})"))
+        if (bad := np.flatnonzero((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 2] == t[:, 0]))).size:
+            faults.append((face_lines[np.searchsorted(starts, fan[bad[0], 0])], "face repeats a vertex index"))
+        if faults:
+            line, message = min(faults, key=lambda f: f[0])
+            raise MeshFormatError(f"{path}:{line}: {message}")
+        return vertices, t.astype(np.int64) - 1
 
     def fault(lineno: int, message: str) -> MeshFormatError:
-        indices()  # a fault on an earlier face comes first
+        checked()  # a fault on an earlier line comes first
         return MeshFormatError(f"{path}:{lineno}: {message}")
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -206,6 +223,7 @@ def load_obj(path: str | os.PathLike) -> TriangleMesh:
                 try:
                     coords += map(float, tokens[1:4])
                 except ValueError as exc:
+                    del coords[3 * len(vertex_lines):]
                     raise fault(lineno, "bad vertex coordinate") from exc
                 vertex_lines.append(lineno)
             elif tag == "f":
@@ -222,19 +240,12 @@ def load_obj(path: str | os.PathLike) -> TriangleMesh:
                         raise fault(lineno, "bad face index") from exc
                 face_lines.append(lineno)
                 face_sizes.append(len(tokens) - 1)
-    corners = indices() - 1
+    vertices, triangles = checked()
     if not coords:
         raise MeshFormatError(f"{path}: no vertices")
     if not face_sizes:
         raise MeshFormatError(f"{path}: no faces")
-    # fan triangulation: (first, c, next of c) for each corner c but a face's first and last
-    sizes = np.array(face_sizes)
-    starts = np.cumsum(sizes) - sizes
-    middle = np.ones(corners.size, dtype=bool)
-    middle[starts] = middle[starts + sizes - 1] = False
-    second = np.flatnonzero(middle)
-    triangles = corners[np.stack([np.repeat(starts, sizes - 2), second, second + 1], axis=1)]
-    return TriangleMesh(np.array(coords).reshape(-1, 3), triangles)
+    return TriangleMesh(vertices, triangles)
 
 
 def save_obj(mesh: TriangleMesh, path: str | os.PathLike) -> None:

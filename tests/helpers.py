@@ -17,12 +17,10 @@ from surfvort import (
     TriangleMesh,
     VortexSystem,
     energy_diagnostics,
-    green_plane,
-    green_sphere,
     kinetic_energy,
 )
 from surfvort.dynamics import PLANE, SPHERE, make_rhs
-from surfvort.kernels import check_squared_separation, squared_distance
+from surfvort.kernels import check_squared_separation, green_of_squared
 from surfvort.numerics import normalize_rows
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -44,6 +42,37 @@ def near_sphere_pair(rng: np.random.Generator, angle: float) -> tuple[np.ndarray
     t = rng.normal(size=3)
     t -= (t @ x) * x
     return x, normalize_rows(x * math.cos(angle) + t / np.linalg.norm(t) * math.sin(angle))
+
+
+def squared_distance(x, y) -> np.ndarray:
+    """|x - y|^2 over the last axis, summed in the order x, y, z as the library's pair passes add them."""
+    d = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
+    return np.asarray(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2])
+
+
+def _green(x, y, sphere: bool):
+    sq = squared_distance(x, y)
+    check_squared_separation(sq, sphere)
+    g = green_of_squared(sq, sphere, out=np.empty_like(sq))
+    return float(g) if g.ndim == 0 else g
+
+
+def green_plane(x, y):
+    """Planar Green's function -ln|x - y| / (2 pi) of points (3,) or stacks (..., 3).
+
+    Built on the library's `green_of_squared` and `check_squared_separation`,
+    so it raises SingularityError inside the guard; symmetric in x and y.
+    """
+    return _green(x, y, sphere=False)
+
+
+def green_sphere(x, y):
+    """Unit-sphere Green's function -ln(sin(d / 2)) / (2 pi) of the angle d.
+
+    Computed from the chord, sin(d / 2) = |x - y| / 2, which stays well
+    conditioned for near pairs, where arccos(x . y) does not.
+    """
+    return _green(x, y, sphere=True)
 
 
 def sgrad_green_plane(x, y) -> np.ndarray:

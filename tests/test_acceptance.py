@@ -17,11 +17,6 @@ from surfvort import (
     TriangleMesh,
     VortexSystem,
     build_atlas,
-    green_plane,
-    green_sphere,
-    kinetic_energy,
-    metric_hamiltonian,
-    surface_vortex_velocities,
     triangle_gradient,
 )
 from surfvort.cli import main
@@ -44,6 +39,8 @@ from helpers import (
     fd_energy_velocity,
     fd_gradient_plane,
     fd_gradient_sphere,
+    green_plane,
+    green_sphere,
     random_plane_system,
     random_sphere_system,
     sgrad_green_plane,

@@ -4,16 +4,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from surfvort import (
-    SingularityError,
-    green_plane,
-    green_sphere,
-)
+from surfvort import SingularityError
 from surfvort.numerics import normalize_rows
 
 from helpers import (
     fd_gradient_plane,
     fd_gradient_sphere,
+    green_plane,
+    green_sphere,
     mp_relative_error,
     mp_sgrad_sphere,
     near_sphere_pair,

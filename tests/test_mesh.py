@@ -79,6 +79,10 @@ class TestLoadObj:
         ("v 0 0 0\nv 1 0 0\nf 1 2 3\nv 0 1 0\n", 3, "face index 3 out of range (1..2)"),
         ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2 99999999999999999999\n", 5,
          "face index 99999999999999999999 out of range (1..3)"),
+        ("v 0 0 0\nv nan 0 0\nv 0 1 0\nf 1 2 3\n", 2, "non-finite vertex coordinate"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2 2\n", 5, "face repeats a vertex index"),
+        # a polygon whose fan repeats a vertex names its own line
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3 4 1\nf 1 2 3\n", 5, "face repeats a vertex index"),
     ])
     def test_fault_names_its_line(self, tmp_path, text, lineno, message):
         path = _write(tmp_path, text)
@@ -95,6 +99,12 @@ class TestLoadObj:
         # two out-of-range faces, and two out-of-range indices of one face
         ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 3 2 5\nf 0 1 2\n", 4, "face index 5 out of range (1..3)"),
         ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 7 4\n", 4, "face index 7 out of range (1..3)"),
+        # a non-finite vertex above an out-of-range face, and the reverse
+        ("v 0 0 0\nv 1 inf 0\nv 0 1 0\nf 1 2 4\n", 2, "non-finite vertex coordinate"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\nv 1 -inf 0\nf 1 2 3\n", 4, "face index 4 out of range (1..3)"),
+        # a repeating face above a non-finite vertex, and one above a record that fails to parse
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 1 3\nv nan 0 0\n", 4, "face repeats a vertex index"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 3 2 3\nv 1 x 0\n", 4, "face repeats a vertex index"),
     ])
     def test_first_of_two_faults_is_reported(self, tmp_path, text, lineno, message):
         path = _write(tmp_path, text)
