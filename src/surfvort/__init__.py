@@ -17,6 +17,7 @@ from .conformal import (
 from .dynamics import (
     CLOSED_SURFACE,
     DEFAULT_SELF_TERM_SIGN,
+    EPS_SEPARATION,
     PLANE,
     SPHERE,
     VortexSystem,
@@ -44,9 +45,6 @@ from .integrator import (
     RunResult,
     rk4_step,
     run,
-)
-from .kernels import (
-    EPS_SEPARATION,
 )
 from .mesh import (
     TopologyReport,

@@ -23,6 +23,7 @@ import numpy as np
 from .conformal import angle_distortions, build_atlas, edge_scale_residuals
 from .dynamics import (
     CLOSED_SURFACE,
+    EPS_SEPARATION,
     PLANE,
     SPHERE,
     VortexSystem,
@@ -36,10 +37,9 @@ from .dynamics import (
 )
 from .errors import ScenarioError, SurfVortError, TopologyError
 from .integrator import run as integrate
-from .kernels import EPS_SEPARATION
 from .mesh import face_areas, load_obj, save_obj
 from .numerics import BLOCK_ROWS, normalize_rows, write_rows
-from .scenario import build_run, check_grid, load_scenario, materialize_preset, presets
+from .scenario import build_run, check_grid, conformal_params, load_scenario, materialize_preset, presets
 from .transport import position_of, sample_points
 
 EXIT_OK = 0
@@ -279,7 +279,16 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _check_mesh_flags(args) -> None:
+    """Refuse a bad flag before the mesh is read: the flow's as in a scenario, --count and --seed >= 0."""
+    conformal_params(args.delta, args.tol, args.max_iters)
+    for flag in ("count", "seed"):
+        if getattr(args, flag, 0) < 0:
+            raise ScenarioError(f"--{flag} must be >= 0")
+
+
 def _cmd_conformal_map(args) -> int:
+    _check_mesh_flags(args)
     mesh = load_obj(args.mesh)
     atlas = build_atlas(mesh, delta=args.delta, tol=args.tol, max_iters=args.max_iters)
     out_dir = args.out or os.path.splitext(os.path.basename(args.mesh))[0] + "_map"
@@ -326,6 +335,7 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _check_mesh_flags(args)
     mesh = load_obj(args.mesh)
     atlas = build_atlas(mesh, delta=args.delta, tol=args.tol, max_iters=args.max_iters)
     if not atlas.converged:

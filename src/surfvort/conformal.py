@@ -314,11 +314,16 @@ class ConformalAtlas:
             self._locator = SphereLocator(self.sphere_mesh)
         return self._locator
 
-    def factor_at(self, tri, st) -> FloatArray:
-        """Conformal factor h linearly interpolated at sphere-mesh locations, (n,)."""
+    def factor(self, points: FloatArray, locations=None) -> tuple[FloatArray, FloatArray]:
+        """(h, grad h) at sphere points (n, 3): h linear at their sphere-mesh barycentrics,
+        grad h their triangle's. `locations` may pass the points' ``(tri, st)`` to skip locating.
+        """
+        tri, st = self.locator.locate(points) if locations is None else locations
+        if tri.shape != (points.shape[0],):
+            raise ValueError("need one sphere-mesh location per point")
         h = self.factors[self.sphere_mesh.triangles[tri]]
         s, t = st[:, 0], st[:, 1]
-        return (1.0 - s - t) * h[:, 0] + s * h[:, 1] + t * h[:, 2]
+        return (1.0 - s - t) * h[:, 0] + s * h[:, 1] + t * h[:, 2], self.triangle_grad_h[tri]
 
 
 def build_atlas(

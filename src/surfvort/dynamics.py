@@ -1,10 +1,15 @@
 """Point-vortex velocities, stream functions and energy on all three geometries.
 
 Vortex velocities exclude each vortex's own singular contribution (Kirchhoff's
-assumption); passive field velocities sum over all vortices. The closed-surface
-case evaluates modified spherical dynamics on the conformal sphere image: the
-spherical pair interaction rescaled by the interpolated conformal factor plus a
-self term driven by the factor's surface gradient.
+assumption); passive field velocities sum over all vortices, with
+``u = n x grad(psi)`` (counter-clockwise about the surface normal). The
+closed-surface case evaluates modified spherical dynamics on the conformal
+sphere image: the spherical pair interaction rescaled by the conformal factor
+plus a self term driven by its surface gradient, both from `ConformalAtlas.factor`.
+
+Both Green's functions are the log of a squared distance, the sphere's through
+the chord ``|x - y| = 2 sin(d / 2)`` of the angle d, so neither takes a square
+root, an arccos or an arcsin; the singularity guard compares squared distances too.
 
 README's "Conventions and numerical notes" describe the pair passes: the one
 chord-difference sum behind every velocity, the blocks of target rows and
@@ -20,13 +25,6 @@ from numpy.typing import NDArray
 
 from .conformal import ConformalAtlas
 from .errors import SingularityError, VorticityBalanceError
-from .kernels import (
-    EPS_CHORD_SQ,
-    EPS_PLANE_SQ,
-    EPS_SEPARATION,
-    check_squared_separation,
-    green_of_squared,
-)
 from .numerics import FloatArray, readonly
 from .transport import position_of
 
@@ -52,25 +50,51 @@ PAIR_BLOCK_PAIRS = 32 * 1024
 # and step, in Python floats (`_few_vortex_rhs`): numpy's ~1 us a call outweighs them.
 FEW_VORTICES = 7
 
+# Pairs closer than this (Euclidean on the plane, angular on the sphere)
+# are treated as collisions rather than evaluated.
+EPS_SEPARATION = 1e-9
+# The same guard on squared distances: the plane's, and the squared chord
+# of the angle EPS_SEPARATION on the sphere.
+EPS_PLANE_SQ = EPS_SEPARATION ** 2
+EPS_CHORD_SQ = (2.0 * math.sin(0.5 * EPS_SEPARATION)) ** 2
 
-def _row_blocks(m: int, n: int, planes: int = 0):
-    """(start, stop) bounds of consecutive target-row blocks covering range(m).
+# A Green's function is this factor times the log of a squared distance:
+# -ln(r) / (2 pi) = -ln(r^2) / (4 pi).
+_GREEN_LOG_SCALE = -0.25 / math.pi
+
+
+def green_of_squared(sq: FloatArray, sphere: bool, out: FloatArray) -> FloatArray:
+    """The plane or sphere Green's function of squared distances `sq`, into `out`.
+
+    Plane: -ln(r^2) / (4 pi). Sphere: -ln(c^2 / 4) / (4 pi) of the squared
+    chord c^2, which is -ln(sin(d / 2)) / (2 pi). `out` may be `sq`.
+    """
+    if sphere:
+        sq = np.multiply(sq, 0.25, out=out)
+    np.log(sq, out=out)
+    out *= _GREEN_LOG_SCALE
+    return out
+
+
+def check_squared_separation(sq: FloatArray, sphere: bool) -> None:
+    """Raise if a squared distance (a squared chord on the sphere) is inside the guard."""
+    if sq.min(initial=np.inf) < (EPS_CHORD_SQ if sphere else EPS_PLANE_SQ):
+        kind = "spherical" if sphere else "planar"
+        raise SingularityError(f"{kind} kernel evaluated at separation below {EPS_SEPARATION:g}")
+
+
+def _row_blocks(m: int, n: int, planes: int):
+    """(start, stop, ws) of consecutive target-row blocks covering range(m).
 
     A block has at most PAIR_BLOCK_PAIRS pairs with the n sources, and at
-    least one row. Given `planes`, each block is (start, stop, ws) instead,
-    ws its (planes, stop - start, n) part of one workspace that the pass
-    allocates here, once.
+    least one row; ws is its (planes, stop - start, n) part of one workspace
+    that the pass allocates here, once.
     """
     rows = max(1, PAIR_BLOCK_PAIRS // n)
-    workspace = np.empty((planes, min(rows, m), n)) if planes else None
+    workspace = np.empty((planes, min(rows, m), n))
     for start in range(0, m, rows):
         stop = min(start + rows, m)
-        if workspace is None:
-            yield start, stop
-        elif stop - start == workspace.shape[1]:
-            yield start, stop, workspace
-        else:
-            yield start, stop, workspace[:, :stop - start]
+        yield start, stop, workspace[:, :stop - start]
 
 
 def _squared_distances(tgt: FloatArray, src: FloatArray, ws: FloatArray) -> FloatArray:
@@ -393,8 +417,7 @@ def surface_field_velocity(
 ) -> FloatArray:
     """Passive velocity at sphere point(s) x; no self term, scaled by 1/h(x)^2.
 
-    `locations` may pass the points' sphere-mesh ``(tri, st)`` arrays to skip
-    point location.
+    `locations` may pass the points' ``(tri, st)``, as to `ConformalAtlas.factor`.
     """
     _require_geometry(system, CLOSED_SURFACE)
     _require_balanced(system.strengths)
@@ -402,10 +425,7 @@ def surface_field_velocity(
     single = x.ndim == 1
     pts = np.atleast_2d(x)
     half_pair = _sphere_pair_sum(pts, system.positions, system.strengths, exclude_diagonal=False)
-    tri, st = atlas.locator.locate(pts) if locations is None else locations
-    if tri.shape != (pts.shape[0],):
-        raise ValueError("need one sphere-mesh location per field point")
-    h = atlas.factor_at(tri, st)
+    h, _ = atlas.factor(pts, locations)
     u = (half_pair / (2.0 * np.pi * (h * h))).T
     return u[0] if single else u
 
@@ -505,8 +525,7 @@ def energy_diagnostics(system: VortexSystem,
         raise ValueError("closed-surface diagnostics need the conformal atlas")
     w = system.strengths
     _require_balanced(w)
-    log_h = np.log(atlas.factor_at(*atlas.locator.locate(system.positions)))
-    term = math.fsum(w * w * log_h) / (4.0 * np.pi)
+    term = math.fsum(w * w * np.log(atlas.factor(system.positions)[0])) / (4.0 * np.pi)
     e = kinetic_energy(system)
     return e, e - term
 
@@ -547,13 +566,11 @@ class SurfaceVelocityEvaluator:
         u(p_j) = [ sum_{i != j} w_i (p_j x p_i) / (1 - p_j . p_i)
                    + sign * (w_j / h_j) p_j x grad_h(p_j) ] / (4 pi h_j^2)
 
-        with h interpolated at each vortex's sphere-mesh location and grad h its triangle's.
+        with h and grad h from `ConformalAtlas.factor` at the vortices' hinted locations.
         """
-        tri, st = self.locate(p)
+        h, grad_h = self.atlas.factor(p, self.locate(p))
         pair = 2.0 * _sphere_pair_sum(p, p, self.strengths, exclude_diagonal=True)
-        h = self.atlas.factor_at(tri, st)
-        grad_h = self.atlas.triangle_grad_h[tri].T[_WRAP]
-        self_term = (self.strengths / h) * _cross(p.T[_WRAP], grad_h)
+        self_term = (self.strengths / h) * _cross(p.T[_WRAP], grad_h.T[_WRAP])
         return ((pair + self.self_term_sign * self_term) / (4.0 * np.pi * (h * h))).T
 
     def to_source(self, positions: FloatArray) -> FloatArray:

@@ -20,8 +20,9 @@ class TopologyError(SurfVortError):
 class SingularityError(SurfVortError):
     """Two evaluation points closer than the singularity guard distance.
 
-    Raised by the Green's-function kernels and by the velocity evaluators;
-    during time integration it signals a vortex collision.
+    Raised by the pair passes of `dynamics` (Green's functions, velocities and
+    the vortex-separation check); during time integration it signals a vortex
+    collision.
     """
 
 
@@ -38,4 +39,4 @@ class LocationError(SurfVortError):
 
 
 class ScenarioError(SurfVortError):
-    """Scenario file failed validation."""
+    """Scenario file or command-line flag failed validation."""

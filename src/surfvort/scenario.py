@@ -178,6 +178,15 @@ def _section(obj: dict, key: str) -> dict:
     return section
 
 
+def conformal_params(delta=0.1, tol=1e-3, max_iters=200) -> ConformalParams:
+    """The conformal flow's parameters, checked as a scenario's and the CLI's flags: finite and positive."""
+    params = ConformalParams(_number(delta, "conformal delta"), _number(tol, "conformal tol"),
+                             _number(max_iters, "conformal max_iters", int))
+    _require(params.delta > 0 and params.tol > 0 and params.max_iters > 0,
+             "conformal parameters must be positive")
+    return params
+
+
 def check_grid(grid, geometry: str, vortices: int) -> dict:
     """A field grid with its values converted; a bad one raises ScenarioError.
 
@@ -395,14 +404,7 @@ def parse_scenario(obj: dict, base_dir: str = ".", name: str = "scenario") -> Sc
         raise ScenarioError(str(exc)) from exc
     _bounded((integrator.steps + 1) * len(w), MAX_RECORDS, "(steps + 1) x vortices (MAX_RECORDS)")
 
-    conf = _section(obj, "conformal")
-    conformal = ConformalParams(
-        delta=_number(conf.get("delta", 0.1), "conformal delta"),
-        tol=_number(conf.get("tol", 1e-3), "conformal tol"),
-        max_iters=_number(conf.get("max_iters", 200), "conformal max_iters", int),
-    )
-    _require(conformal.delta > 0 and conformal.tol > 0 and conformal.max_iters > 0,
-             "conformal parameters must be positive")
+    conformal = conformal_params(**_section(obj, "conformal"))
 
     sign = _number(obj.get("self_term_sign", DEFAULT_SELF_TERM_SIGN), "self_term_sign", int)
     _require(sign in (-1, 1), "self_term_sign must be +1 or -1")

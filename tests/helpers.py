@@ -19,8 +19,7 @@ from surfvort import (
     energy_diagnostics,
     kinetic_energy,
 )
-from surfvort.dynamics import PLANE, SPHERE, make_rhs
-from surfvort.kernels import check_squared_separation, green_of_squared
+from surfvort.dynamics import PLANE, SPHERE, check_squared_separation, green_of_squared, make_rhs
 from surfvort.numerics import normalize_rows
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -265,6 +264,68 @@ def identity_atlas(sphere_mesh: TriangleMesh) -> ConformalAtlas:
         iterations_used=0,
         sphericity_residual=0.0,
     )
+
+
+def revolution_ellipsoid_factor(vertices, c):
+    """Exact conformal factor of the unit sphere map of the ellipsoid
+    x^2 + y^2 + (z / c)^2 = 1, a surface of revolution.
+
+    With sigma = int ds / r along the meridian from the equator, the polar
+    angle of the image is phi = 2 arctan(e^sigma) and h = r / sin(phi)
+    = r cosh(sigma). On the meridian (sin t, c cos t), t from the nearer
+    pole, ds / r = g(tau) dtau / sin(tau) with g = sqrt(cos^2 + c^2 sin^2);
+    splitting off int dtau / sin(tau) = -log tan(t / 2) leaves
+    I(t) = int_t^(pi/2) (g - 1) / sin dtau, regular at the poles, and
+    h = cos^2(t/2) e^I + sin^2(t/2) e^-I.
+    """
+    from scipy.integrate import quad
+
+    def integrand(tau):
+        g = math.sqrt(math.cos(tau) ** 2 + c * c * math.sin(tau) ** 2)
+        return (g - 1.0) / math.sin(tau) if tau > 0.0 else 0.0
+
+    t = np.arccos(np.clip(np.abs(vertices[:, 2]) / c, 0.0, 1.0))
+    levels, index = np.unique(t, return_inverse=True)
+    log_scale = np.array(
+        [quad(integrand, lv, math.pi / 2, epsabs=1e-13, epsrel=1e-13)[0] for lv in levels]
+    )[index]
+    return np.cos(t / 2) ** 2 * np.exp(log_scale) + np.sin(t / 2) ** 2 * np.exp(-log_scale)
+
+
+def spheroid_factor(p, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (h, grad h) of the conformal sphere map of ellipsoid(1, 1, c), c >= 1, at unit vectors p (n, 3).
+
+    The inverse of `revolution_ellipsoid_factor`, in closed form. A sphere
+    point of height z has sigma = artanh z; the meridian point
+    (r, Z) = (cos t, c sin t) with the same sigma = int ds / r has w = sin t
+    solving z = tanh(sigma(w)), where, with k^2 = c^2 - 1 and
+    S = sqrt(c^2 - k^2 w^2),
+        sigma(w) = artanh(w / S) + k arcsin(k w / c)
+    (d sigma / dw = S / (1 - w^2)). In a = w / S and T = tanh(k arcsin(k w / c)),
+    tanh(sigma) = (a + T) / (1 + a T) is smooth and increasing on [-1, 1], with
+    slope c^2 (1 - T^2) / (S (1 + a T)^2), so Newton's method from w = z
+    solves it to full precision. Then h = r cosh(sigma) = sqrt((1 - w^2) / (1 - z^2)),
+    and grad h = h'(z) (e_z - z p) is meridional.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    z, k = p[:, 2], math.sqrt(c * c - 1.0)
+
+    def tanh_sigma(w):  # tanh(sigma(w)) and dw/dz, the reciprocal of its slope
+        s = np.sqrt(c * c - k * k * w * w)
+        a, t = w / s, np.tanh(k * np.arcsin(k * w / c))
+        return (a + t) / (1.0 + a * t), s * (1.0 + a * t) ** 2 / (c * c * (1.0 - t * t))
+
+    w = z
+    for _ in range(50):
+        g, dw_dz = tanh_sigma(w)
+        step = (g - z) * dw_dz
+        w = np.clip(w - step, -1.0, 1.0)
+        if np.abs(step).max() <= 1e-15:  # quadratic convergence: this step left w exact
+            break
+    dw_dz = tanh_sigma(w)[1]
+    h = np.sqrt((1.0 - w * w) / (1.0 - z * z))
+    dh_dz = (z * (1.0 - w * w) - w * dw_dz * (1.0 - z * z)) / ((1.0 - z * z) ** 2 * h)
+    return h, dh_dz[:, None] * (EZ - z[:, None] * p)
 
 
 def brute_force_locate(mesh: TriangleMesh, p: np.ndarray) -> int:

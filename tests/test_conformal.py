@@ -19,7 +19,13 @@ from surfvort.conformal import angle_distortions, edge_scale_residuals
 from surfvort.shapes import ellipsoid, icosphere
 
 from conftest import BLOB_TOL, ELLIPSOID_TOL
-from helpers import add_at_log_factors, add_at_lumped_mass, rotation_matrix, torus_mesh
+from helpers import (
+    add_at_log_factors,
+    add_at_lumped_mass,
+    revolution_ellipsoid_factor,
+    rotation_matrix,
+    torus_mesh,
+)
 
 
 def flat_hex_patch():
@@ -274,32 +280,6 @@ class TestConformalFactors:
             assert np.degrees(np.median(angle_distortions(atlas))) < 2.0
 
 
-def revolution_ellipsoid_factor(vertices, c):
-    """Exact conformal factor of the unit sphere map of the ellipsoid
-    x^2 + y^2 + (z / c)^2 = 1, a surface of revolution.
-
-    With sigma = int ds / r along the meridian from the equator, the polar
-    angle of the image is phi = 2 arctan(e^sigma) and h = r / sin(phi)
-    = r cosh(sigma). On the meridian (sin t, c cos t), t from the nearer
-    pole, ds / r = g(tau) dtau / sin(tau) with g = sqrt(cos^2 + c^2 sin^2);
-    splitting off int dtau / sin(tau) = -log tan(t / 2) leaves
-    I(t) = int_t^(pi/2) (g - 1) / sin dtau, regular at the poles, and
-    h = cos^2(t/2) e^I + sin^2(t/2) e^-I.
-    """
-    from scipy.integrate import quad
-
-    def integrand(tau):
-        g = math.sqrt(math.cos(tau) ** 2 + c * c * math.sin(tau) ** 2)
-        return (g - 1.0) / math.sin(tau) if tau > 0.0 else 0.0
-
-    t = np.arccos(np.clip(np.abs(vertices[:, 2]) / c, 0.0, 1.0))
-    levels, index = np.unique(t, return_inverse=True)
-    log_scale = np.array(
-        [quad(integrand, lv, math.pi / 2, epsabs=1e-13, epsrel=1e-13)[0] for lv in levels]
-    )[index]
-    return np.cos(t / 2) ** 2 * np.exp(log_scale) + np.sin(t / 2) ** 2 * np.exp(-log_scale)
-
-
 class TestConformalOracle:
     def test_ellipsoid_factors_match_surface_of_revolution(self, ellipsoid_atlas, ellipsoid4):
         """The presets' ellipsoid(1, 1, 1.5) at 4 subdivisions, delta 0.1,
@@ -357,7 +337,8 @@ class TestAtlas:
     def test_factor_interpolation_matches_vertices(self, ellipsoid_atlas):
         tri = 42
         vid = ellipsoid_atlas.source_mesh.triangles[tri][0]
-        h = ellipsoid_atlas.factor_at(np.array([tri]), np.zeros((1, 2)))
+        h, _ = ellipsoid_atlas.factor(ellipsoid_atlas.sphere_positions[[vid]],
+                                      (np.array([tri]), np.zeros((1, 2))))
         assert h[0] == pytest.approx(
             ellipsoid_atlas.factors[vid], abs=1e-15
         )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -21,6 +22,8 @@ from surfvort import (
 )
 from surfvort.dynamics import (
     CLOSED_SURFACE,
+    EPS_CHORD_SQ,
+    EPS_SEPARATION,
     FEW_VORTICES,
     PAIR_BLOCK_PAIRS,
     PLANE,
@@ -33,11 +36,12 @@ from surfvort.dynamics import (
     nearest_vortex_distance,
 )
 from surfvort.integrator import run
-from surfvort.kernels import EPS_CHORD_SQ, EPS_SEPARATION
 from surfvort.numerics import normalize_rows
+from surfvort.scenario import presets
 from surfvort.shapes import icosphere
 
 from helpers import (
+    diagnostics_of,
     fd_energy_velocity,
     few_vortex_states,
     green_plane,
@@ -48,7 +52,9 @@ from helpers import (
     near_sphere_pair,
     random_plane_system,
     random_sphere_system,
+    revolution_ellipsoid_factor,
     sgrad_green_sphere,
+    spheroid_factor,
     vortex_velocities,
 )
 
@@ -349,13 +355,16 @@ class TestBlockEdges:
 
     def test_block_bounds(self):
         assert B == 128 and Q * Q <= PAIR_BLOCK_PAIRS < (Q + 1) ** 2
-        assert list(_row_blocks(Q, Q)) == [(0, Q)]
+        def bounds(m, n):
+            return [(start, stop) for start, stop, _ in _row_blocks(m, n, 1)]
+
+        assert bounds(Q, Q) == [(0, Q)]
         rows = PAIR_BLOCK_PAIRS // (Q + 1)
-        assert list(_row_blocks(Q + 1, Q + 1)) == [(0, rows), (rows, Q + 1)]
-        assert list(_row_blocks(M, M)) == [(0, MB), (MB, 2 * MB), (2 * MB, M)]
-        assert list(_row_blocks(2 * B, FIELD_SOURCES)) == [(0, B), (B, 2 * B)]
-        assert list(_row_blocks(2 * B + 3, FIELD_SOURCES)) == [(0, B), (B, 2 * B), (2 * B, 2 * B + 3)]
-        assert list(_row_blocks(3, 10 ** 6)) == [(0, 1), (1, 2), (2, 3)]
+        assert bounds(Q + 1, Q + 1) == [(0, rows), (rows, Q + 1)]
+        assert bounds(M, M) == [(0, MB), (MB, 2 * MB), (2 * MB, M)]
+        assert bounds(2 * B, FIELD_SOURCES) == [(0, B), (B, 2 * B)]
+        assert bounds(2 * B + 3, FIELD_SOURCES) == [(0, B), (B, 2 * B), (2 * B, 2 * B + 3)]
+        assert bounds(3, 10 ** 6) == [(0, 1), (1, 2), (2, 3)]
 
     @pytest.mark.parametrize("geometry", [PLANE, SPHERE])
     @pytest.mark.parametrize("m", SELF_SIZES)
@@ -639,7 +648,7 @@ class TestSurfaceVelocities:
         surf = VortexSystem(CLOSED_SURFACE, normalize_rows(rng.normal(size=(n, 3))), w)
         p = surf.positions
         tri, st = blob_atlas.locator.locate(p)
-        h = blob_atlas.factor_at(tri, st)
+        h = blob_atlas.factor(p, (tri, st))[0]
         self_term = (surf.strengths / h)[:, None] * np.cross(p, blob_atlas.triangle_grad_h[tri])
         pair = whole_sphere_pair_sum(p, p, surf.strengths, True)
         expected = (pair + sign * self_term) / (4.0 * np.pi * (h * h)[:, None])
@@ -817,12 +826,59 @@ class TestMetricHamiltonian:
             w[-1] = -math.fsum(w[:-1])
             surf = VortexSystem(CLOSED_SURFACE, normalize_rows(rng.normal(size=(40, 3))), w)
             e = kinetic_energy(surf)
-            log_h = np.log(blob_atlas.factor_at(*blob_atlas.locator.locate(surf.positions)))
+            log_h = np.log(blob_atlas.factor(surf.positions)[0])
             expected = (e, e - math.fsum(w * w * log_h) / FOUR_PI)
             monkeypatch.setattr(dynamics, "kinetic_energy", counted)
             assert energy_diagnostics(surf, blob_atlas) == expected
             monkeypatch.undo()
         assert len(calls) == 5
+
+
+class TestExactFactorReference:
+    """The library's closed-surface RHS and H_tilde on the presets' ellipsoid(1, 1, 1.5),
+    with `ConformalAtlas.factor` swapped for the exact factor of the continuum map."""
+
+    def test_spheroid_factor_inverts_the_quadrature(self, ellipsoid4):
+        # a vertex at height Z maps to sphere height tanh(sigma(Z / c)) (the
+        # closed form in `spheroid_factor`), where its h is the quadrature's
+        c = 1.5
+        v = np.asarray(ellipsoid4.vertices)[::40]
+        v = v[np.abs(v[:, 2]) < 1.4]
+        k, w = math.sqrt(c * c - 1.0), v[:, 2] / c
+        z = np.tanh(np.arctanh(w / np.sqrt(c * c - k * k * w * w)) + k * np.arcsin(k * w / c))
+        p = np.column_stack([v[:, :2] * (np.sqrt(1.0 - z * z) / np.hypot(v[:, 0], v[:, 1]))[:, None], z])
+        h, grad_h = spheroid_factor(p, c)
+        np.testing.assert_allclose(h, revolution_ellipsoid_factor(v, c), rtol=1e-13)
+        assert np.abs(np.sum(grad_h * p, axis=1)).max() < 1e-15  # tangent
+        assert np.abs(np.sum(grad_h * np.cross(p, [0.0, 0.0, 1.0]), axis=1)).max() < 1e-15  # meridional
+
+    def test_h_tilde_drift_is_order_four_with_sign_plus(self, ellipsoid_atlas, ellipsoid4):
+        """leapfrog_mesh's vortices for T = 2, from the atlas's sphere positions.
+
+        With a smooth factor the +1 self term is the exact Hamiltonian flow of
+        H_tilde, so its drift is RK4's. Measured (max relative drift over the
+        diagnosed steps, every 10th): sign +1 2.468e-9 at dt 0.008 and
+        1.559e-10 at dt 0.004 (order 3.98); sign -1 6.34e-2 at dt 0.004. This
+        witnesses c06's sign independently of the mesh's kinked factor.
+        """
+        atlas = dataclasses.replace(ellipsoid_atlas)
+        atlas.factor = lambda points, locations=None: spheroid_factor(points, 1.5)
+        vortices = presets()["leapfrog_mesh"]["vortices"]
+        vertices = np.asarray(ellipsoid4.vertices)
+        nearest = [int(np.argmin(np.linalg.norm(vertices - v["nearest"], axis=1))) for v in vortices]
+        system = VortexSystem(CLOSED_SURFACE, atlas.sphere_positions[nearest],
+                              [v["strength"] for v in vortices])
+
+        def drift(dt, sign):
+            result = run(system, make_rhs(system, atlas, sign), IntegratorConfig(dt, round(2.0 / dt)),
+                         diagnostics=diagnostics_of(system, atlas), diagnostics_every=10)
+            assert result.completed
+            h_tilde = result.diagnostics[:, 2]
+            return np.abs(h_tilde - h_tilde[0]).max() / abs(h_tilde[0])
+
+        coarse, fine = drift(0.008, +1), drift(0.004, +1)
+        assert math.log2(coarse / fine) >= 3.8
+        assert drift(0.004, -1) >= 100.0 * fine
 
 
 class TestVortexSystem:

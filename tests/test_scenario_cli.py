@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from surfvort import cli, save_obj
+from surfvort import SphereLocator, cli, save_obj
 from surfvort import scenario as scenario_module
 from surfvort.cli import _grid_points, main
 from surfvort.dynamics import make_rhs
@@ -566,6 +566,28 @@ class TestFieldCommand:
 
 
 class TestSampleCommand:
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--count", "-1", "--seed", "0"],
+        ["sample", "--count", "1", "--seed", "-1"],
+        ["sample", "--count", "1", "--seed", "0", "--delta", "-1"],
+        ["sample", "--count", "1", "--seed", "0", "--tol", "nan"],
+        ["sample", "--count", "1", "--seed", "0", "--max-iters", "0"],
+        ["conformal-map", "--delta", "inf"],
+        ["conformal-map", "--tol", "0"],
+        ["conformal-map", "--max-iters", "-1"],
+    ], ids=["count", "seed", "delta", "tol", "max_iters", "map_delta", "map_tol", "map_max_iters"])
+    def test_bad_flag_fails_before_the_mesh_is_read(self, tmp_path, argv, monkeypatch, capsys):
+        def no_load(*args, **kwargs):
+            raise AssertionError("mesh read before the flags were checked")
+
+        save_obj(icosphere(2), tmp_path / "ico.obj")
+        monkeypatch.setattr(cli, "load_obj", no_load)
+        out = tmp_path / "out"
+        assert main([argv[0], str(tmp_path / "ico.obj"), *argv[1:], "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_zero_count_header_only(self, tmp_path):
         save_obj(icosphere(2), tmp_path / "ico.obj")
         out = tmp_path / "out"
@@ -583,6 +605,48 @@ class TestSampleCommand:
                          "--out", str(out)]) == 0
             blobs.append((out / "sample.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestLocateTraffic:
+    """Sphere-mesh point location on closed surfaces, counted call by call."""
+
+    DOC = {
+        "geometry": {"mesh": "ell.obj"},
+        "vortices": [{"nearest": [0.3, 0.0, 1.2], "strength": 1.0},
+                     {"nearest": [-0.3, 0.0, 1.2], "strength": -1.0}],
+        "integrator": {"dt": 0.01, "steps": 12},
+        "conformal": {"tol": 2e-2},
+        "diagnostics_every": 5,
+        "outputs": {"field_grid": {"kind": "surface_samples", "count": 40, "seed": 1}},
+    }
+
+    def test_mesh_run_locates_five_times_a_step(self, tmp_path, monkeypatch):
+        # four hinted RHS stages and one map-back a step, one map-back at step 0,
+        # and one cold locate per diagnosed row (steps 0, 5, 10 and 12): the
+        # traced transport.locate_calls of the mesh_blob benchmark, 5 x 60 + 1 + 7
+        # = 308, counts the same calls
+        save_obj(ellipsoid(1.0, 1.0, 1.3, subdivisions=2), tmp_path / "ell.obj")
+        calls = []
+        locate = SphereLocator.locate
+
+        def counted(self, points, hints=None):
+            calls.append(hints is None)
+            return locate(self, points, hints)
+
+        monkeypatch.setattr(SphereLocator, "locate", counted)
+        assert main(["run", write_scenario(tmp_path, self.DOC), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 5 * 12 + 1 + 4
+        assert calls.count(True) == 4
+
+    def test_surface_samples_field_builds_no_locator(self, tmp_path):
+        # the samples carry their (tri, st), so the field never locates: building
+        # the locator for it would cost about 15 ms on the mesh_blob benchmark
+        save_obj(ellipsoid(1.0, 1.0, 1.3, subdivisions=2), tmp_path / "ell.obj")
+        scenario = load_scenario(write_scenario(tmp_path, self.DOC))
+        prepared = build_run(scenario)
+        cli._write_field(str(tmp_path / "field.csv"), prepared, scenario.outputs.field_grid)
+        assert prepared.atlas._locator is None
+        assert len((tmp_path / "field.csv").read_text().splitlines()) == 3 + 40
 
 
 class TestPresets:

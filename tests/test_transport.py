@@ -25,9 +25,9 @@ def one(tri, s, t):
 
 
 def interpolate(mesh, values, tri, st):
-    """ConformalAtlas.factor_at on `mesh`, with `values` as its per-vertex factors."""
+    """ConformalAtlas.factor's h on `mesh` at the locations, with `values` as its per-vertex factors."""
     atlas = dataclasses.replace(identity_atlas(mesh), factors=np.asarray(values, float))
-    return atlas.factor_at(tri, st)
+    return atlas.factor(position_of(mesh, tri, st), (tri, st))[0]
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +111,7 @@ class TestMapLocation:
 
 
 class TestInterpolateScalar:
-    """ConformalAtlas.factor_at's interpolation rule, checked on a flat mesh."""
+    """ConformalAtlas.factor's interpolation rule, checked on a flat mesh."""
 
     def test_vertex_value(self, flat_mesh):
         values = np.array([1.0, 2.0, 3.0, 4.0])
